@@ -12,6 +12,11 @@ Three rows per kernel (``repro.mem.kernels``):
   configuration campaigns actually run — the difference against
   ``*_vector`` is the verification overhead.
 
+``bench_kernel_stackdist_windowed_*`` feeds one profile in 64 guarded
+windows over a large footprint, as timeline recording does, so the
+per-chunk state handling around the kernel (taking the simulator's
+state, sanity checks, adopting the result) is timed along with it.
+
 ``compare_baseline.py`` gates these rows harder than the rest of the
 suite: a kernel row regressing more than 10% against
 ``BENCH_baseline.json`` fails the comparison.
@@ -23,7 +28,7 @@ import pytest
 from repro.mem import kernels
 from repro.mem.cache import FullyAssociativeCache
 from repro.mem.setassoc import SetAssociativeCache
-from repro.mem.stack_distance import profile_trace
+from repro.mem.stack_distance import StackDistanceRun, profile_trace
 from repro.mem.trace import Trace
 
 #: Sampling period that never fires after the warmup call below.
@@ -85,6 +90,22 @@ def _directmapped():
 def _stackdist():
     trace = _random_trace()
     return lambda: profile_trace(trace), len(trace)
+
+
+def _stackdist_windowed(windows=64, window_refs=4096, num_blocks=1 << 16):
+    trace = _random_trace(windows * window_refs, num_blocks, seed=3)
+    chunks = [
+        Trace(trace.addrs[i : i + window_refs], trace.kinds[i : i + window_refs])
+        for i in range(0, len(trace), window_refs)
+    ]
+
+    def fn():
+        run = StackDistanceRun()
+        for chunk in chunks:
+            run.feed(chunk)
+        return run.result()
+
+    return fn, len(trace)
 
 
 def bench_kernel_fullassoc_oracle(benchmark):
@@ -153,3 +174,8 @@ def bench_kernel_stackdist_vector_verified(benchmark):
     _bench_tier(
         benchmark, fn, refs, "vector", verify_every=kernels.DEFAULT_VERIFY_EVERY
     )
+
+
+def bench_kernel_stackdist_windowed_vector(benchmark):
+    fn, refs = _stackdist_windowed()
+    _bench_tier(benchmark, fn, refs, "vector")

@@ -42,6 +42,13 @@ class SeriesComparison:
     unit: str = ""
     note: str = ""
 
+    def __post_init__(self) -> None:
+        # Numbers are floats however they were computed, so an
+        # in-process payload matches one round-tripped through JSON.
+        self.measured_value = float(self.measured_value)
+        if self.paper_value is not None:
+            self.paper_value = float(self.paper_value)
+
     @property
     def ratio(self) -> Optional[float]:
         if self.paper_value in (None, 0):

@@ -10,11 +10,12 @@ identical miss rates in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from repro.mem import kernels
 from repro.mem.lru import LRUList
 from repro.mem.trace import READ, Trace
 from repro.obs.metrics import hot_loop_sampler
@@ -83,15 +84,64 @@ class FullyAssociativeCache:
         self.capacity_bytes = capacity_bytes
         self.block_size = block_size
         self.num_blocks = capacity_bytes // block_size
-        self._lru = LRUList()
-        self._ever_seen: set = set()
         self.stats = CacheStats()
+        self.flush()
 
     def _block_of(self, addr: int) -> int:
         return addr // self.block_size
 
+    def _materialize(self) -> None:
+        """Build the oracle loop's LRU list and seen-set from native state."""
+        if self._lru is not None:
+            return
+        self._lru = LRUList.from_mru_to_lru(self._mru.tolist())
+        self._ever_seen = set(self._ever.tolist())
+        self._mru = self._ever = None
+
+    def _to_native(self) -> None:
+        """Drop the oracle-loop structures for the native arrays."""
+        if self._lru is None:
+            return
+        self._mru, self._ever = self._native_arrays()
+        self._lru = self._ever_seen = None
+
+    def _native_arrays(self):
+        if self._lru is None:
+            return self._mru, self._ever
+        mru = np.fromiter(self._lru.keys_mru_to_lru(), np.int64, len(self._lru))
+        ever = np.fromiter(self._ever_seen, np.int64, len(self._ever_seen))
+        return kernels.frozen(mru), kernels.frozen(np.sort(ever))
+
+    def native_state(self) -> dict:
+        """The :meth:`state_dict` schema with int64 arrays, by reference.
+
+        Switches to the native form first (dropping the oracle-loop
+        structures); the arrays are read-only.
+        """
+        self._to_native()
+        return self._snapshot()
+
+    def adopt_native_state(self, state: dict) -> None:
+        """Take over a kernel's native state (arrays kept by reference)."""
+        self._mru = kernels.frozen(state["lru_mru_to_lru"])
+        self._ever = kernels.frozen(state["ever_seen"])
+        self._lru = self._ever_seen = None
+        self.stats = CacheStats(**state["stats"])
+
+    def _snapshot(self) -> dict:
+        mru, ever = self._native_arrays()
+        return {
+            "capacity_bytes": self.capacity_bytes,
+            "block_size": self.block_size,
+            "lru_mru_to_lru": mru,
+            "ever_seen": ever,
+            "stats": asdict(self.stats),
+        }
+
     def access(self, addr: int, kind: int = READ) -> bool:
         """Issue one reference.  Returns True on hit, False on miss."""
+        if self._lru is None:
+            self._materialize()
         block = self._block_of(addr)
         if kind == READ:
             self.stats.reads += 1
@@ -156,12 +206,11 @@ class FullyAssociativeCache:
     def _run_impl(
         self, trace: Trace, budget: Optional[Budget] = None
     ) -> CacheStats:
-        from repro.mem import kernels
-
         if kernels.guard_run("fullassoc", self, trace, budget=budget):
             return self.stats
         if budget is None:
             budget = active_budget()
+        self._materialize()
         blocks = trace.block_ids(self.block_size)
         kinds = trace.kinds
         lru = self._lru
@@ -203,10 +252,13 @@ class FullyAssociativeCache:
 
     def contains(self, addr: int) -> bool:
         """True if the block holding ``addr`` is currently resident."""
-        return self._block_of(addr) in self._lru
+        block = self._block_of(addr)
+        if self._lru is not None:
+            return block in self._lru
+        return bool(np.any(self._mru == block))
 
     def resident_blocks(self) -> int:
-        return len(self._lru)
+        return len(self._lru) if self._lru is not None else len(self._mru)
 
     def reset_stats(self) -> None:
         """Zero the counters without flushing cache contents.
@@ -218,24 +270,17 @@ class FullyAssociativeCache:
 
     def flush(self) -> None:
         """Empty the cache and forget cold-miss history."""
-        self._lru = LRUList()
-        self._ever_seen = set()
+        # Native state: resident blocks MRU -> LRU, sorted blocks ever
+        # seen.  The LRU list and seen-set exist only while the oracle
+        # loop runs (then the arrays are None).
+        self._mru: Optional[np.ndarray] = kernels.EMPTY
+        self._ever: Optional[np.ndarray] = kernels.EMPTY
+        self._lru: Optional[LRUList] = None
+        self._ever_seen: Optional[set] = None
 
     def state_dict(self) -> dict:
         """JSON-serializable snapshot of contents, history and stats."""
-        return {
-            "capacity_bytes": self.capacity_bytes,
-            "block_size": self.block_size,
-            "lru_mru_to_lru": list(self._lru.keys_mru_to_lru()),
-            "ever_seen": sorted(self._ever_seen),
-            "stats": {
-                "reads": self.stats.reads,
-                "writes": self.stats.writes,
-                "read_misses": self.stats.read_misses,
-                "write_misses": self.stats.write_misses,
-                "cold_misses": self.stats.cold_misses,
-            },
-        }
+        return kernels.json_state(self._snapshot())
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (geometry must match)."""
@@ -246,13 +291,13 @@ class FullyAssociativeCache:
                     f"not match this cache's "
                     f"{field_name}={getattr(self, field_name)!r}"
                 )
-        lru = LRUList()
-        # Touching in LRU->MRU order reproduces the recency list exactly.
-        for key in reversed([int(k) for k in state["lru_mru_to_lru"]]):
-            lru.touch(key)
-        self._lru = lru
-        self._ever_seen = {int(b) for b in state["ever_seen"]}
-        self.stats = CacheStats(**{k: int(v) for k, v in state["stats"].items()})
+        self.adopt_native_state(
+            {
+                "lru_mru_to_lru": np.array(state["lru_mru_to_lru"], dtype=np.int64),
+                "ever_seen": np.unique(np.asarray(state["ever_seen"], dtype=np.int64)),
+                "stats": {k: int(v) for k, v in state["stats"].items()},
+            }
+        )
 
 
 def sweep_cache_sizes(

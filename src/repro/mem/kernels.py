@@ -83,6 +83,39 @@ _MAX_BLOCK_ID = 1 << 44
 
 
 # ---------------------------------------------------------------------------
+# Native simulator state
+# ---------------------------------------------------------------------------
+#
+# The simulators hold their ``state_dict()`` schema natively: every list
+# field is an int64 ndarray that is never written after it is set, so a
+# kernel can take a simulator's state by reference and the simulator can
+# adopt the kernel's result by reference.  JSON lists are built only
+# where JSON is written or compared.
+
+
+def frozen(values) -> np.ndarray:
+    """``values`` as a read-only int64 array (no copy when already one)."""
+    arr = np.asarray(values, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
+
+
+EMPTY = frozen(np.zeros(0, dtype=np.int64))
+
+
+def json_state(state: dict) -> dict:
+    """A native state with its arrays as lists: the ``state_dict()`` form."""
+    out = {}
+    for key, value in state.items():
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, dict):
+            value = dict(value)
+        out[key] = value
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Vectorized stack-depth engine
 # ---------------------------------------------------------------------------
 
@@ -264,13 +297,11 @@ def kernel_fullassoc(
 ) -> dict:
     """Vectorized fully-associative LRU chunk step.
 
-    Pure function from a :meth:`FullyAssociativeCache.state_dict`-shaped
+    Pure function from a :meth:`FullyAssociativeCache.native_state`
     snapshot plus one columnar chunk to the successor snapshot.
     """
     capacity = int(state["capacity_bytes"]) // int(state["block_size"])
-    resident = state["lru_mru_to_lru"]
-    prefix = np.asarray(resident[::-1], dtype=np.int64)  # oldest -> newest
-    n = int(blocks.shape[0])
+    prefix = state["lru_mru_to_lru"][::-1]  # oldest -> newest
     f = int(prefix.shape[0])
     ext = np.concatenate([prefix, blocks]) if f else blocks
     depth, prev, last_mask = _stack_depths(ext)
@@ -279,19 +310,17 @@ def kernel_fullassoc(
     # Cold misses: first-in-ext blocks never seen before.  A first-ever
     # reference always misses, so every such block scores one cold miss.
     new_blocks = blocks[prev[f:] < 0]
-    ever = np.asarray(state["ever_seen"], dtype=np.int64)
-    ever_new, n_cold = _merge_sorted_unique(ever, new_blocks)
+    ever_new, n_cold = _merge_sorted_unique(state["ever_seen"], new_blocks)
     # Final LRU contents: the capacity most recently used distinct
     # blocks; final occurrences in position order are exactly the
     # blocks by last access (oldest -> newest).
     by_last_access = ext[np.flatnonzero(last_mask)]
-    mru_to_lru = by_last_access[-capacity:][::-1].tolist()
     old = state["stats"]
     return {
         "capacity_bytes": state["capacity_bytes"],
         "block_size": state["block_size"],
-        "lru_mru_to_lru": [int(b) for b in mru_to_lru],
-        "ever_seen": ever_new.tolist(),
+        "lru_mru_to_lru": by_last_access[-capacity:][::-1].copy(),
+        "ever_seen": ever_new,
         "stats": {
             "reads": int(old["reads"]) + reads,
             "writes": int(old["writes"]) + writes,
@@ -307,10 +336,10 @@ def kernel_stackdist(
 ) -> dict:
     """Vectorized Mattson stack-distance chunk step.
 
-    Pure function over :meth:`StackDistanceRun.state_dict` snapshots.
+    Pure function over :meth:`StackDistanceRun.native_state` snapshots.
     """
     n = int(blocks.shape[0])
-    prefix = np.asarray(state["blocks_by_last_access"], dtype=np.int64)
+    prefix = state["blocks_by_last_access"]
     f = int(prefix.shape[0])
     ext = np.concatenate([prefix, blocks]) if f else blocks
     depth, prev, last_mask = _stack_depths(ext)
@@ -322,18 +351,17 @@ def kernel_stackdist(
     cold_new = int(np.count_nonzero(first & counted))
     total_new = int(np.count_nonzero(counted))
     depths = depth[f:][counted & ~first]
-    old_hist = np.asarray(state["hist"], dtype=np.int64)
+    old_hist = state["hist"]
     if depths.size:
         add = np.bincount(depths)
         size = max(old_hist.shape[0], add.shape[0])
         hist = np.zeros(size, dtype=np.int64)
         hist[: old_hist.shape[0]] = old_hist
         hist[: add.shape[0]] += add
+        nonzero = np.flatnonzero(hist)
+        hist = hist[: int(nonzero[-1]) + 1 if nonzero.size else 1]
     else:
         hist = old_hist
-    nonzero = np.nonzero(hist)[0]
-    top = int(nonzero[-1]) if nonzero.size else 0
-    by_last_access = ext[np.flatnonzero(last_mask)]
     return {
         "block_size": state["block_size"],
         "count_reads_only": state["count_reads_only"],
@@ -341,8 +369,8 @@ def kernel_stackdist(
         "pos": pos0 + n,
         "cold": int(state["cold"]) + cold_new,
         "total": int(state["total"]) + total_new,
-        "blocks_by_last_access": by_last_access.tolist(),
-        "hist": hist[: top + 1].tolist(),
+        "blocks_by_last_access": ext[np.flatnonzero(last_mask)],
+        "hist": hist,
     }
 
 
@@ -363,8 +391,8 @@ def kernel_setassoc(
     set_of = blocks % num_sets
     touched_counts = np.bincount(set_of, minlength=num_sets)
     touched = touched_counts > 0
-    old_counts = np.asarray(state["set_counts"], dtype=np.int64)
-    old_orders = np.asarray(state["set_orders_mru_to_lru"], dtype=np.int64)
+    old_counts = state["set_counts"]
+    old_orders = state["set_orders_mru_to_lru"]
     old_offsets = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.cumsum(old_counts)]
     )
@@ -415,9 +443,7 @@ def kernel_setassoc(
     reads, writes, read_misses, write_misses = _cache_stats_delta(kinds, hit)
     first = np.zeros(n, dtype=bool)
     first[orig] = (prev < 0)[chunk_rows]
-    new_blocks = blocks[first]
-    ever = np.asarray(state["ever_seen"], dtype=np.int64)
-    ever_new, n_cold = _merge_sorted_unique(ever, new_blocks)
+    ever_new, n_cold = _merge_sorted_unique(state["ever_seen"], blocks[first])
     # New per-set residency: per set segment, final occurrences in
     # position order are LRU -> MRU; keep the most recent `assoc`.
     last_rows = np.flatnonzero(last_mask)
@@ -456,9 +482,9 @@ def kernel_setassoc(
         "capacity_bytes": state["capacity_bytes"],
         "block_size": state["block_size"],
         "associativity": state["associativity"],
-        "set_orders_mru_to_lru": new_orders.tolist(),
-        "set_counts": new_counts.tolist(),
-        "ever_seen": ever_new.tolist(),
+        "set_orders_mru_to_lru": new_orders,
+        "set_counts": new_counts,
+        "ever_seen": ever_new,
         "stats": {
             "reads": int(old["reads"]) + reads,
             "writes": int(old["writes"]) + writes,
@@ -676,12 +702,13 @@ def _active_faults() -> List[KernelFault]:
 
 
 def _apply_fault(kernel: str, fault_kind: str, post: dict, pre: dict) -> bool:
-    """Mutate a kernel result in place to simulate misbehavior.
+    """Corrupt a kernel result to simulate misbehavior.
 
     ``wrong-count`` is crafted to slip past the structural sanity
     checks so only shadow verification can catch it; ``nan`` and
-    ``overflow`` are exactly what sanity is for.  Returns whether a
-    mutation was actually applied.
+    ``overflow`` are exactly what sanity is for.  Fields are replaced,
+    never written in place: ``post`` may share arrays with ``pre``.
+    Returns whether a mutation was actually applied.
     """
     if kernel == "stackdist":
         if fault_kind == "nan":
@@ -690,29 +717,30 @@ def _apply_fault(kernel: str, fault_kind: str, post: dict, pre: dict) -> bool:
         if fault_kind == "overflow":
             post["total"] = int(post["total"]) + (1 << 62)
             return True
-        hist = [int(v) for v in post["hist"]]
-        idx = next((i for i in range(len(hist)) if i > 0 and hist[i] > 0), None)
-        if idx is not None:
+        hist = np.array(post["hist"], dtype=np.int64)
+        nonzero = np.flatnonzero(hist[1:])
+        if nonzero.size:
+            idx = int(nonzero[0]) + 1
+            if idx + 1 >= hist.shape[0]:
+                hist = np.append(hist, 0)
             hist[idx] -= 1
-            if idx + 1 >= len(hist):
-                hist.append(0)
             hist[idx + 1] += 1
             post["hist"] = hist
             return True
         if int(post["cold"]) > int(pre["cold"]):
-            while len(hist) < 2:
-                hist.append(0)
+            if hist.shape[0] < 2:
+                hist = np.append(hist, np.zeros(2 - hist.shape[0], dtype=np.int64))
             hist[1] += 1
             post["cold"] = int(post["cold"]) - 1
             post["hist"] = hist
             return True
-        order = list(post["blocks_by_last_access"])
-        if len(order) >= 2:
-            order[0], order[1] = order[1], order[0]
+        order = np.array(post["blocks_by_last_access"], dtype=np.int64)
+        if order.shape[0] >= 2:
+            order[[0, 1]] = order[[1, 0]]
             post["blocks_by_last_access"] = order
             return True
         return False
-    stats = post["stats"]
+    stats = post["stats"] = dict(post["stats"])
     if fault_kind == "nan":
         stats["read_misses"] = float("nan")
         return True
@@ -803,6 +831,10 @@ def _is_count(value: object) -> bool:
 _STAT_KEYS = ("reads", "writes", "read_misses", "write_misses", "cold_misses")
 
 
+def _int_array(value: object) -> bool:
+    return isinstance(value, np.ndarray) and value.dtype == np.int64
+
+
 def _sanity(
     kernel: str, pre: dict, post: dict, n: int, kinds: np.ndarray
 ) -> Optional[str]:
@@ -810,7 +842,8 @@ def _sanity(
 
     Returns a reason string on violation, ``None`` when clean.  These
     catch corrupt-value failure modes (NaN, overflow, impossible
-    deltas) without paying for an oracle replay.
+    deltas) without paying for an oracle replay.  Array fields are
+    checked with whole-array numpy reductions.
     """
     try:
         if kernel == "stackdist":
@@ -827,10 +860,12 @@ def _sanity(
             if not 0 <= d_cold <= d_total:
                 return "cold delta outside [0, total delta]"
             hist = post["hist"]
-            if not all(_is_count(v) and v >= 0 for v in hist):
+            if not _int_array(hist) or (hist.size and int(hist.min()) < 0):
                 return "hist contains a non-int or negative entry"
-            if sum(hist) + int(post["cold"]) != int(post["total"]):
+            if int(hist.sum()) + int(post["cold"]) != int(post["total"]):
                 return "hist mass plus cold misses != total"
+            if not _int_array(post["blocks_by_last_access"]):
+                return "malformed kernel state"
             return None
         old_stats = pre["stats"]
         stats = post["stats"]
@@ -857,21 +892,29 @@ def _sanity(
         d_cold = int(stats["cold_misses"]) - int(old_stats["cold_misses"])
         if d_cold > d_misses:
             return "cold-miss delta exceeds miss delta"
-        if len(post["ever_seen"]) < len(pre["ever_seen"]):
+        if not _int_array(post["ever_seen"]):
+            return "malformed kernel state"
+        if post["ever_seen"].shape[0] < pre["ever_seen"].shape[0]:
             return "ever_seen shrank"
         capacity = int(post["capacity_bytes"]) // int(post["block_size"])
         if kernel == "fullassoc":
-            if len(post["lru_mru_to_lru"]) > capacity:
+            lru = post["lru_mru_to_lru"]
+            if not _int_array(lru):
+                return "malformed kernel state"
+            if lru.shape[0] > capacity:
                 return "LRU holds more blocks than capacity"
         else:
             assoc = int(post["associativity"])
             counts = post["set_counts"]
-            if any(c > assoc for c in counts):
+            orders = post["set_orders_mru_to_lru"]
+            if not (_int_array(counts) and _int_array(orders)):
+                return "malformed kernel state"
+            if counts.size and int(counts.max()) > assoc:
                 return "a set holds more blocks than its associativity"
-            if sum(counts) != len(post["set_orders_mru_to_lru"]):
+            if int(counts.sum()) != orders.shape[0]:
                 return "set_counts disagree with flattened orders"
         return None
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, AttributeError):
         return "malformed kernel state"
 
 
@@ -901,12 +944,15 @@ def _fresh_sim(kernel: str, state: dict):
 
 
 def _oracle_replay(kernel: str, pre: dict, trace: Trace, budget) -> dict:
-    """Replay one chunk through the pure-Python oracle from ``pre``."""
+    """Replay one chunk through the pure-Python oracle from ``pre``.
+
+    Returns the oracle's ``state_dict()`` (JSON lists) for comparison.
+    """
     global _REPLAYING
     from repro.obs.metrics import suppress_hot_loop_sampling
 
     sim = _fresh_sim(kernel, pre)
-    sim.load_state_dict(pre)
+    sim.adopt_native_state(pre)
     _REPLAYING = True
     try:
         with suppress_hot_loop_sampling():
@@ -947,8 +993,12 @@ def _write_bundle(
             "chunk": ordinal,
             "reason": reason,
             "detail": detail,
-            "pre_state": pre,
-            "kernel_state": kernel_state_dict,
+            "pre_state": json_state(pre),
+            "kernel_state": (
+                json_state(kernel_state_dict)
+                if kernel_state_dict is not None
+                else None
+            ),
             "oracle_state": oracle_state_dict,
             "blocks": [int(b) for b in blocks.tolist()],
             "kinds": [int(k) for k in kinds.tolist()],
@@ -1037,8 +1087,12 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
     simulator state was updated (the caller is done); ``False`` when
     the caller must run its pure-Python loop — oracle tier, small or
     out-of-domain chunk, quarantined kernel, or a divergence detected
-    on this very chunk.  In every ``False`` case the simulator is
-    untouched.
+    on this very chunk.  In every ``False`` case the simulator's
+    ``state_dict()`` is unchanged.
+
+    The kernel reads the simulator's :meth:`native_state` by reference
+    and the simulator adopts the accepted result by reference; JSON
+    lists are built only for shadow comparison and repro bundles.
     """
     if _REPLAYING:
         return False
@@ -1059,7 +1113,7 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
     # The depth engine packs (id, position) into int64 keys; the block
     # ids must leave room for the position bits of the prefixed chunk.
     if kernel == "stackdist":
-        prefix_bound = len(sim._last_time)
+        prefix_bound = sim.footprint_blocks
     else:
         prefix_bound = sim.capacity_bytes // sim.block_size
     k = _pow2ceil(n + prefix_bound + 1)
@@ -1080,7 +1134,7 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
         None,
     )
     kinds = trace.kinds
-    pre = sim.state_dict()
+    pre = sim.native_state()
     sampler = hot_loop_sampler(_SAMPLER_NAMES[kernel])
     fault_applied = False
     try:
@@ -1130,7 +1184,7 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
         state["verified"] += 1
         obs_metrics.inc(f"mem.kernel.{kernel}.verified")
         expected = _oracle_replay(kernel, pre, trace, budget)
-        if _canonical(post) != _canonical(expected):
+        if _canonical(json_state(post)) != _canonical(expected):
             _record_divergence(
                 kernel,
                 config,
@@ -1145,7 +1199,7 @@ def guard_run(kernel: str, sim, trace, budget=None) -> bool:
                 oracle_state_dict=expected,
             )
             return False
-    sim.load_state_dict(post)
+    sim.adopt_native_state(post)
     state["chunks"] += 1
     if sampler is not None:
         sampler.finish(refs=n, misses=_miss_delta(kernel, pre, post))

@@ -8,7 +8,7 @@ list consistency) with hypothesis.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterable, Iterator, Optional
 
 
 class _Node:
@@ -31,6 +31,31 @@ class LRUList:
         self._nodes: Dict[int, _Node] = {}
         self._head: Optional[_Node] = None
         self._tail: Optional[_Node] = None
+
+    @classmethod
+    def from_mru_to_lru(cls, keys: Iterable[int]) -> "LRUList":
+        """A list holding ``keys`` in the given order, most recent first.
+
+        Links the nodes directly (one pass, no per-key touch); a repeated
+        key keeps its most recent position, as touching the keys in
+        reverse order would.
+        """
+        lru = cls()
+        nodes = lru._nodes
+        prev: Optional[_Node] = None
+        for key in keys:
+            if key in nodes:
+                continue
+            node = _Node(key)
+            nodes[key] = node
+            if prev is None:
+                lru._head = node
+            else:
+                prev.next = node
+                node.prev = prev
+            prev = node
+        lru._tail = prev
+        return lru
 
     def __len__(self) -> int:
         return len(self._nodes)

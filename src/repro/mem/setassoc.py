@@ -10,8 +10,12 @@ the limited-associativity instrument used to reproduce that study
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import asdict
+from typing import List, Optional
 
+import numpy as np
+
+from repro.mem import kernels
 from repro.mem.cache import CacheStats
 from repro.mem.lru import LRUList
 from repro.mem.trace import READ, Trace
@@ -62,16 +66,88 @@ class SetAssociativeCache:
         self.block_size = block_size
         self.associativity = associativity
         self.num_sets = num_blocks // associativity
-        self._sets = [LRUList() for _ in range(self.num_sets)]
-        self._ever_seen: set = set()
         self.stats = CacheStats()
+        self.flush()
 
     @property
     def is_direct_mapped(self) -> bool:
         return self.associativity == 1
 
+    def _materialize(self) -> None:
+        """Build the oracle loop's per-set LRU lists from native state."""
+        if self._sets is not None:
+            return
+        sets = [LRUList() for _ in range(self.num_sets)]
+        orders = self._orders.tolist()
+        counts = self._counts
+        ends = np.cumsum(counts).tolist()
+        for index in np.flatnonzero(counts).tolist():
+            end = ends[index]
+            sets[index] = LRUList.from_mru_to_lru(
+                orders[end - int(counts[index]) : end]
+            )
+        self._sets = sets
+        self._ever_seen = set(self._ever.tolist())
+        self._orders = self._counts = self._ever = None
+
+    def _to_native(self) -> None:
+        """Drop the oracle-loop structures for the native arrays."""
+        if self._sets is None:
+            return
+        self._orders, self._counts, self._ever = self._native_arrays()
+        self._sets = self._ever_seen = None
+
+    def _native_arrays(self):
+        if self._sets is None:
+            return self._orders, self._counts, self._ever
+        counts = np.fromiter(
+            (len(cache_set) for cache_set in self._sets), np.int64, self.num_sets
+        )
+        orders: List[int] = []
+        for cache_set in self._sets:
+            orders.extend(cache_set.keys_mru_to_lru())
+        ever = np.fromiter(self._ever_seen, np.int64, len(self._ever_seen))
+        return (
+            kernels.frozen(np.array(orders, dtype=np.int64)),
+            kernels.frozen(counts),
+            kernels.frozen(np.sort(ever)),
+        )
+
+    def native_state(self) -> dict:
+        """The :meth:`state_dict` schema with int64 arrays, by reference.
+
+        Switches to the native form first (dropping the oracle-loop
+        structures); the arrays are read-only.
+        """
+        self._to_native()
+        return self._snapshot()
+
+    def adopt_native_state(self, state: dict) -> None:
+        """Take over a kernel's native state (arrays kept by reference)."""
+        self._orders = kernels.frozen(state["set_orders_mru_to_lru"])
+        self._counts = kernels.frozen(state["set_counts"])
+        self._ever = kernels.frozen(state["ever_seen"])
+        self._sets = self._ever_seen = None
+        self.stats = CacheStats(**state["stats"])
+
+    def _snapshot(self) -> dict:
+        """Per-set recency orders flattened into one array plus a per-set
+        length vector, to keep the state shallow."""
+        orders, counts, ever = self._native_arrays()
+        return {
+            "capacity_bytes": self.capacity_bytes,
+            "block_size": self.block_size,
+            "associativity": self.associativity,
+            "set_orders_mru_to_lru": orders,
+            "set_counts": counts,
+            "ever_seen": ever,
+            "stats": asdict(self.stats),
+        }
+
     def access(self, addr: int, kind: int = READ) -> bool:
         """Issue one reference.  Returns True on hit, False on miss."""
+        if self._sets is None:
+            self._materialize()
         block = addr // self.block_size
         index = block % self.num_sets
         cache_set = self._sets[index]
@@ -138,8 +214,6 @@ class SetAssociativeCache:
     def _run_impl(
         self, trace: Trace, budget: Optional[Budget] = None
     ) -> CacheStats:
-        from repro.mem import kernels
-
         if kernels.guard_run("setassoc", self, trace, budget=budget):
             return self.stats
         if budget is None:
@@ -167,36 +241,21 @@ class SetAssociativeCache:
         self.stats = CacheStats()
 
     def flush(self) -> None:
-        self._sets = [LRUList() for _ in range(self.num_sets)]
-        self._ever_seen = set()
+        # Native state: flattened per-set orders MRU -> LRU, per-set
+        # counts and the sorted blocks ever seen.  The per-set LRU lists
+        # and seen-set exist only while the oracle loop runs (then the
+        # arrays are None).
+        self._orders: Optional[np.ndarray] = kernels.EMPTY
+        self._counts: Optional[np.ndarray] = kernels.frozen(
+            np.zeros(self.num_sets, dtype=np.int64)
+        )
+        self._ever: Optional[np.ndarray] = kernels.EMPTY
+        self._sets: Optional[List[LRUList]] = None
+        self._ever_seen: Optional[set] = None
 
     def state_dict(self) -> dict:
-        """JSON-serializable snapshot of every set, history and stats.
-
-        Per-set recency orders are flattened into one list plus a
-        per-set length vector to keep the JSON shallow.
-        """
-        orders = []
-        counts = []
-        for cache_set in self._sets:
-            keys = list(cache_set.keys_mru_to_lru())
-            orders.extend(keys)
-            counts.append(len(keys))
-        return {
-            "capacity_bytes": self.capacity_bytes,
-            "block_size": self.block_size,
-            "associativity": self.associativity,
-            "set_orders_mru_to_lru": orders,
-            "set_counts": counts,
-            "ever_seen": sorted(self._ever_seen),
-            "stats": {
-                "reads": self.stats.reads,
-                "writes": self.stats.writes,
-                "read_misses": self.stats.read_misses,
-                "write_misses": self.stats.write_misses,
-                "cold_misses": self.stats.cold_misses,
-            },
-        }
+        """JSON-serializable snapshot of every set, history and stats."""
+        return kernels.json_state(self._snapshot())
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (geometry must match)."""
@@ -207,22 +266,19 @@ class SetAssociativeCache:
                     f"not match this cache's "
                     f"{field_name}={getattr(self, field_name)!r}"
                 )
-        counts = [int(c) for c in state["set_counts"]]
+        counts = np.array(state["set_counts"], dtype=np.int64)
         if len(counts) != self.num_sets:
             raise ValueError(
                 f"checkpoint has {len(counts)} sets, cache has {self.num_sets}"
             )
-        orders = [int(k) for k in state["set_orders_mru_to_lru"]]
-        if len(orders) != sum(counts):
+        orders = np.array(state["set_orders_mru_to_lru"], dtype=np.int64)
+        if len(orders) != int(counts.sum()):
             raise ValueError("checkpoint set orders disagree with set counts")
-        sets = []
-        offset = 0
-        for count in counts:
-            cache_set = LRUList()
-            for key in reversed(orders[offset : offset + count]):
-                cache_set.touch(key)
-            sets.append(cache_set)
-            offset += count
-        self._sets = sets
-        self._ever_seen = {int(b) for b in state["ever_seen"]}
-        self.stats = CacheStats(**{k: int(v) for k, v in state["stats"].items()})
+        self.adopt_native_state(
+            {
+                "set_orders_mru_to_lru": orders,
+                "set_counts": counts,
+                "ever_seen": np.unique(np.asarray(state["ever_seen"], dtype=np.int64)),
+                "stats": {k: int(v) for k, v in state["stats"].items()},
+            }
+        )

@@ -26,6 +26,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.mem import kernels
 from repro.mem.trace import READ, Trace
 from repro.obs.metrics import hot_loop_sampler
 from repro.runtime.budget import CHECK_MASK, Budget, active_budget
@@ -69,19 +70,18 @@ class _FenwickTree:
     def from_ones(cls, count: int, capacity: int) -> "_FenwickTree":
         """Tree of ``capacity`` slots with ones in slots ``[0, count)``.
 
-        Linear-time construction (set the leaves, propagate each node
-        into its parent once) — used when rebuilding from a compacted
-        timestamp space, where the live slots are exactly a prefix.
+        Closed form, one numpy expression: node ``i`` (1-based) sums the
+        leaves ``(i - lowbit(i), i]``, of which ``max(0, min(i, count) -
+        (i - lowbit(i)))`` are ones — used when rebuilding from a
+        compacted timestamp space, where the live slots are a prefix.
         """
         if count > capacity:
             raise ValueError("count cannot exceed capacity")
-        tree = cls(capacity)
-        arr = tree._tree
-        arr[1 : count + 1] = 1
-        for i in range(1, capacity + 1):
-            j = i + (i & -i)
-            if j <= capacity:
-                arr[j] += arr[i]
+        tree = cls.__new__(cls)
+        tree._n = capacity
+        i = np.arange(capacity + 1, dtype=np.int64)
+        base = i - (i & -i)
+        tree._tree = np.maximum(np.minimum(i, count) - base, 0)
         return tree
 
 
@@ -208,7 +208,6 @@ class StackDistanceProfiler:
             block_size=self.block_size,
             count_reads_only=self.count_reads_only,
             warmup=self.warmup,
-            capacity_hint=len(trace),
         )
         recorder = obs_timeline.active_recorder()
         step = (
@@ -243,13 +242,17 @@ class StackDistanceRun:
     access time, so the entire tree is a function of the ``last_time``
     map alone.  Depths depend only on the *relative order* of last
     accesses, which lets us compact: renumber the live timestamps to
-    ``0..F-1`` (order preserved), rebuild the tree linearly, and keep
-    going — results are bit-identical while memory stays
+    ``0..F-1`` (order preserved), rebuild the tree in closed form, and
+    keep going — results are bit-identical while memory stays
     ``O(footprint + chunk)`` instead of ``O(trace)``.
 
-    The same property makes checkpoints small: :meth:`state_dict`
-    compacts first, so a snapshot is just the blocks in last-access
-    order plus the histogram — no tree, no raw timestamps.
+    The same property gives the run a small native state: the blocks in
+    last-access order plus the histogram (read-only int64 arrays, the
+    :meth:`state_dict` schema).  That is what the vector kernel reads
+    and returns by reference.  The ``last_time`` map and the tree exist
+    only while the per-reference oracle loop runs: they are built from
+    the order when that loop starts and dropped when the kernel takes
+    over again, so one representation is live at a time.
 
     Feed chunks with :meth:`feed`; finish with :meth:`result`.
     """
@@ -259,7 +262,6 @@ class StackDistanceRun:
         block_size: int = 8,
         count_reads_only: bool = False,
         warmup: int = 0,
-        capacity_hint: int = 0,
     ) -> None:
         if block_size <= 0 or (block_size & (block_size - 1)) != 0:
             raise ValueError("block_size must be a positive power of two")
@@ -268,18 +270,28 @@ class StackDistanceRun:
         self.block_size = block_size
         self.count_reads_only = count_reads_only
         self.warmup = warmup
-        capacity = max(int(capacity_hint), 1024)
-        self._tree = _FenwickTree(capacity)
-        self._last_time: Dict[int, int] = {}
-        self._clock = 0  # next free tree timestamp (resets on compaction)
         self._pos = 0  # total references fed (never resets; drives warmup)
-        self._hist = np.zeros(max(int(capacity_hint) + 2, 1024), dtype=np.int64)
         self._cold = 0
         self._total = 0
+        # Native state: blocks by last access and the trimmed histogram.
+        self._order: Optional[np.ndarray] = kernels.EMPTY
+        self._hist = kernels.frozen(np.zeros(1, dtype=np.int64))
+        # Oracle-loop state, live only while ``_order`` is None; the
+        # histogram is then a private, growable buffer.
+        self._last_time: Dict[int, int] = {}
+        self._tree: Optional[_FenwickTree] = None
+        self._clock = 0  # next free tree timestamp (resets on compaction)
 
     @property
     def refs_fed(self) -> int:
         return self._pos
+
+    @property
+    def footprint_blocks(self) -> int:
+        """Distinct blocks referenced so far."""
+        if self._order is not None:
+            return int(self._order.shape[0])
+        return len(self._last_time)
 
     def _grow_hist(self, size: int) -> None:
         if len(self._hist) < size:
@@ -287,19 +299,84 @@ class StackDistanceRun:
             grown[: len(self._hist)] = self._hist
             self._hist = grown
 
-    def _compact(self, incoming: int) -> None:
-        """Renumber live timestamps to ``0..F-1`` and rebuild the tree.
+    def _live_order(self) -> np.ndarray:
+        """Blocks in last-access order, oldest first, from either form."""
+        if self._order is not None:
+            return self._order
+        footprint = len(self._last_time)
+        times = np.fromiter(self._last_time.values(), np.int64, footprint)
+        blocks = np.fromiter(self._last_time.keys(), np.int64, footprint)
+        # Timestamps are distinct and below the clock: scatter, no sort.
+        by_time = np.empty(self._clock, dtype=np.int64)
+        live = np.zeros(self._clock, dtype=bool)
+        by_time[times] = blocks
+        live[times] = True
+        return kernels.frozen(by_time[live])
 
-        Order-preserving, so every subsequent depth is unchanged; the
-        new capacity leaves room for ``incoming`` more references plus
-        slack so compactions stay rare.
+    def _to_native(self) -> None:
+        """Drop the oracle-loop structures for the native arrays."""
+        if self._order is not None:
+            return
+        self._order = self._live_order()
+        self._hist = _trimmed(self._hist)
+        self._last_time = {}
+        self._tree = None
+        self._clock = 0
+
+    def _compact(self, incoming: int) -> None:
+        """Build the oracle loop's ``last_time`` map and Fenwick tree.
+
+        Live timestamps are renumbered to their ranks ``0..F-1`` in
+        last-access order (order-preserving, so every later depth is
+        unchanged), which makes the tree ones over a prefix.  Serves
+        both to leave the native form and to compact a full tree.
+        Leaving the native form sizes the tree to the ``incoming``
+        chunk (a smaller tree means shorter Fenwick walks); compacting
+        a full tree doubles the room so compactions stay rare.
         """
-        live = sorted(self._last_time.items(), key=lambda item: item[1])
-        footprint = len(live)
-        capacity = max(2 * (footprint + incoming), 4096)
-        self._last_time = {block: rank for rank, (block, _) in enumerate(live)}
-        self._tree = _FenwickTree.from_ones(footprint, capacity)
+        order = self._live_order()
+        footprint = int(order.shape[0])
+        room = footprint + incoming
+        if self._tree is not None:
+            room *= 2
+        self._last_time = dict(zip(order.tolist(), range(footprint)))
+        self._tree = _FenwickTree.from_ones(footprint, max(room, 1024))
         self._clock = footprint
+        if self._order is not None:
+            self._hist = np.array(self._hist)  # writable private copy
+            self._order = None
+
+    def native_state(self) -> Dict[str, object]:
+        """The :meth:`state_dict` schema with int64 arrays, by reference.
+
+        Switches to the native form first (dropping the oracle-loop
+        structures); the arrays are read-only.
+        """
+        self._to_native()
+        return self._snapshot()
+
+    def adopt_native_state(self, state: Dict[str, object]) -> None:
+        """Take over a kernel's native state (arrays kept by reference)."""
+        self._pos = state["pos"]
+        self._cold = state["cold"]
+        self._total = state["total"]
+        self._order = kernels.frozen(state["blocks_by_last_access"])
+        self._hist = kernels.frozen(state["hist"])
+        self._last_time = {}
+        self._tree = None
+        self._clock = 0
+
+    def _snapshot(self) -> Dict[str, object]:
+        return {
+            "block_size": self.block_size,
+            "count_reads_only": self.count_reads_only,
+            "warmup": self.warmup,
+            "pos": self._pos,
+            "cold": self._cold,
+            "total": self._total,
+            "blocks_by_last_access": self._live_order(),
+            "hist": self._hist if self._order is not None else _trimmed(self._hist),
+        }
 
     def feed(self, trace: Trace, budget: Optional[Budget] = None) -> None:
         """Consume one chunk of references, updating the running state.
@@ -337,7 +414,6 @@ class StackDistanceRun:
         elapsed: float,
     ) -> None:
         """Emit one timeline row for the chunk just fed (never raises)."""
-        from repro.mem import kernels
         from repro.obs.metrics import inc
 
         try:
@@ -382,7 +458,7 @@ class StackDistanceRun:
                 refs_per_second=(n / elapsed) if elapsed > 0 else None,
                 block_size=self.block_size,
                 ws_blocks=int(trace.footprint(self.block_size)),
-                footprint_blocks=len(self._last_time),
+                footprint_blocks=self.footprint_blocks,
                 cache_sizes=[int(c) for c in grid],
                 misses=[int(m) for m in misses],
                 tier=tier,
@@ -392,8 +468,6 @@ class StackDistanceRun:
             inc("obs.timeline.write_errors")
 
     def _feed_impl(self, trace: Trace, budget: Optional[Budget] = None) -> None:
-        from repro.mem import kernels
-
         if kernels.guard_run("stackdist", self, trace, budget=budget):
             return
         if budget is None:
@@ -403,7 +477,7 @@ class StackDistanceRun:
         n = len(blocks)
         if n == 0:
             return
-        if self._clock + n > self._tree._n:
+        if self._tree is None or self._clock + n > self._tree._n:
             self._compact(n)
         self._grow_hist(len(self._last_time) + n + 2)
         tree = self._tree
@@ -461,27 +535,14 @@ class StackDistanceRun:
         )
 
     def state_dict(self) -> Dict[str, object]:
-        """JSON-serializable snapshot; compacts first so it is small.
+        """JSON-serializable snapshot: the native state as lists.
 
         The ``last_time`` map serializes as just the blocks in
         last-access order — after compaction their timestamps are
         exactly ``0..F-1``, so order alone reconstructs the map *and*
         the tree.
         """
-        self._compact(0)
-        ordered = sorted(self._last_time.items(), key=lambda item: item[1])
-        nonzero = np.nonzero(self._hist)[0]
-        top = int(nonzero[-1]) if nonzero.size else 0
-        return {
-            "block_size": self.block_size,
-            "count_reads_only": self.count_reads_only,
-            "warmup": self.warmup,
-            "pos": self._pos,
-            "cold": self._cold,
-            "total": self._total,
-            "blocks_by_last_access": [block for block, _ in ordered],
-            "hist": self._hist[: top + 1].tolist(),
-        }
+        return kernels.json_state(self._snapshot())
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         """Restore a :meth:`state_dict` snapshot (parameters must match)."""
@@ -491,19 +552,26 @@ class StackDistanceRun:
                     f"checkpoint {field}={state.get(field)!r} does not match "
                     f"this run's {field}={getattr(self, field)!r}"
                 )
-        blocks = [int(b) for b in state["blocks_by_last_access"]]
-        footprint = len(blocks)
-        self._last_time = {block: rank for rank, block in enumerate(blocks)}
-        self._tree = _FenwickTree.from_ones(
-            footprint, max(2 * footprint, 4096)
+        self.adopt_native_state(
+            {
+                "pos": int(state["pos"]),
+                "cold": int(state["cold"]),
+                "total": int(state["total"]),
+                "blocks_by_last_access": np.array(
+                    state["blocks_by_last_access"], dtype=np.int64
+                ),
+                "hist": _trimmed(np.asarray(state["hist"], dtype=np.int64)),
+            }
         )
-        self._clock = footprint
-        self._pos = int(state["pos"])
-        self._cold = int(state["cold"])
-        self._total = int(state["total"])
-        hist = np.asarray(state["hist"], dtype=np.int64)
-        self._hist = np.zeros(max(len(hist), 1024), dtype=np.int64)
-        self._hist[: len(hist)] = hist
+
+
+def _trimmed(hist: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``hist`` without trailing zeros (>= 1 slot)."""
+    nonzero = np.flatnonzero(hist)
+    top = int(nonzero[-1]) + 1 if nonzero.size else 1
+    out = np.zeros(top, dtype=np.int64)
+    out[: min(top, len(hist))] = hist[:top]
+    return kernels.frozen(out)
 
 
 def profile_trace(

@@ -36,6 +36,39 @@ class TestSeriesComparison:
         assert row[1] == "-"
         assert row[4] == "-"
 
+    def test_numbers_are_floats_however_computed(self):
+        comp = SeriesComparison("x", paper_value=np.int64(4), measured_value=3)
+        assert type(comp.measured_value) is float
+        assert type(comp.paper_value) is float
+        assert SeriesComparison("x", None, np.float64(2)).paper_value is None
+        # The in-process form equals its JSON round trip, type for type.
+        assert SeriesComparison.from_dict(comp.to_dict()).to_dict() == comp.to_dict()
+        assert [type(v) for v in comp.to_dict().values()] == [
+            type(v) for v in SeriesComparison.from_dict(comp.to_dict()).to_dict().values()
+        ]
+
+
+def _result_text(run_dir, experiment_id):
+    """A result envelope's text without its timing and digest lines."""
+    text = (run_dir / "results" / f"{experiment_id}.json").read_text()
+    return "\n".join(
+        line
+        for line in text.splitlines()
+        if not line.lstrip().startswith(('"elapsed_seconds": ', '"sha256": '))
+    )
+
+
+def test_in_process_payload_matches_worker_payload(tmp_path):
+    """``--jobs 0`` writes the same result text as a worker round trip."""
+    from repro.experiments.__main__ import main
+
+    texts = []
+    for jobs in ("0", "1"):
+        run_dir = tmp_path / f"jobs{jobs}"
+        assert main(["--quick", "--jobs", jobs, "--run-dir", str(run_dir), "fig2"]) == 0
+        texts.append(_result_text(run_dir, "fig2"))
+    assert texts[0] == texts[1]
+
 
 class TestExperimentResult:
     def _result(self):

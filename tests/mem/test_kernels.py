@@ -380,3 +380,191 @@ class TestEngineIntegration:
         assert fallbacks[0]["kernel"] == "fullassoc"
         assert fallbacks[0]["category"] == "kernel-divergence"
         assert not kernels.drain_kernel_events()  # engine drained them
+
+
+# -- native state: mixed paths and the guard contract ------------------------
+
+
+def _make(kind, ways=4):
+    if kind == "fullassoc":
+        return FullyAssociativeCache(32 * 8)
+    if kind == "setassoc":
+        return SetAssociativeCache(64 * 8, associativity=ways)
+    return StackDistanceRun()
+
+
+def _step(sim, trace):
+    (getattr(sim, "run", None) or sim.feed)(trace)
+
+
+def _live_forms(sim):
+    """Which representations hold state: (native arrays, Python loop)."""
+    if isinstance(sim, StackDistanceRun):
+        return sim._order is not None, sim._tree is not None
+    if isinstance(sim, FullyAssociativeCache):
+        return sim._mru is not None, sim._lru is not None
+    return sim._orders is not None, sim._sets is not None
+
+
+def _dump(sim):
+    return json.dumps(sim.state_dict(), sort_keys=True)
+
+
+_MIXED_MIN_REFS = 64
+
+KERNEL_CASES = [
+    ("fullassoc", 1),
+    ("setassoc", 1),
+    ("setassoc", 2),
+    ("setassoc", 4),
+    ("stackdist", 1),
+]
+
+
+class TestMixedPaths:
+    @pytest.mark.parametrize("kind,ways", KERNEL_CASES)
+    def test_alternating_paths_match_pure_oracle(self, kind, ways):
+        rng = np.random.default_rng(21)
+        _vector(min_refs=_MIXED_MIN_REFS)
+        sim = _make(kind, ways)
+        with kernels.tier_override("oracle"):
+            twin = _make(kind, ways)
+        plan = ["vector", "oracle", "access", "vector", "roundtrip",
+                "vector", "vector", "oracle", "roundtrip", "access", "vector"]
+        vector_chunks = 0
+        for step in plan:
+            if step == "roundtrip":
+                fresh = _make(kind, ways)
+                fresh.load_state_dict(json.loads(_dump(sim)))
+                sim = fresh
+            else:
+                size = {"vector": 300, "oracle": 40, "access": 5}[step]
+                blocks = rng.integers(0, 96, size=size)
+                kinds = rng.integers(0, 2, size=size)
+                trace = _trace(blocks, kinds)
+                if step == "access" and kind != "stackdist":
+                    for addr, k in zip(trace.addrs.tolist(), trace.kinds.tolist()):
+                        sim.access(addr, k)
+                        with kernels.tier_override("oracle"):
+                            twin.access(addr, k)
+                else:
+                    _step(sim, trace)
+                    with kernels.tier_override("oracle"):
+                        _step(twin, trace)
+                vector_chunks += step == "vector"
+            assert kernels.kernel_state(kind)["chunks"] == vector_chunks, step
+            assert sum(_live_forms(sim)) == 1, step
+            assert _live_forms(sim)[0] == (step in ("vector", "roundtrip")), step
+            assert _dump(sim) == _dump(twin), step
+
+    def test_queries_do_not_switch_representation(self):
+        _vector(min_refs=0)
+        cache = FullyAssociativeCache(4 * 8)
+        cache.run(_trace([1, 2, 3, 2, 1]))
+        assert cache.contains(8) and not cache.contains(80)
+        assert cache.resident_blocks() == 3
+        assert _live_forms(cache) == (True, False)
+        cache.access(5 * 8)
+        assert cache.contains(40) and cache.resident_blocks() == 4
+        assert _live_forms(cache) == (False, True)
+
+
+def _copy_state(state):
+    return {
+        k: (v.copy() if isinstance(v, np.ndarray) else dict(v) if isinstance(v, dict) else v)
+        for k, v in state.items()
+    }
+
+
+def _assert_same_state(a, b):
+    assert a.keys() == b.keys()
+    for key in a:
+        if isinstance(a[key], np.ndarray):
+            np.testing.assert_array_equal(a[key], b[key])
+        else:
+            assert a[key] == b[key], key
+
+
+def _primed(kind, **kwargs):
+    """A simulator holding non-trivial native state, and a next chunk."""
+    _vector(verify_every=1 << 30)
+    if kind == "stackdist":
+        sim = StackDistanceRun(**kwargs)
+    else:
+        sim = _make(kind)
+    _step(sim, _mixed_trace(3000, 48, seed=1))
+    kernels.reset_kernel_state()
+    return sim, _mixed_trace(3000, 48, seed=2)
+
+
+class TestGuardContract:
+    @pytest.mark.parametrize("kind", kernels.KERNEL_KINDS)
+    def test_native_state_is_read_only_and_shared(self, kind):
+        sim, _ = _primed(kind)
+        state = sim.native_state()
+        arrays = [v for v in state.values() if isinstance(v, np.ndarray)]
+        assert arrays and all(a.dtype == np.int64 for a in arrays)
+        assert not any(a.flags.writeable for a in arrays)
+        again = sim.native_state()
+        assert all(
+            again[k] is v for k, v in state.items() if isinstance(v, np.ndarray)
+        )
+
+    @pytest.mark.parametrize(
+        "kind,kwargs",
+        [
+            ("fullassoc", {}),
+            ("setassoc", {}),
+            ("stackdist", {}),
+            # Nothing counted: the kernel returns pre's histogram itself.
+            ("stackdist", {"warmup": 10**9}),
+        ],
+    )
+    def test_kernel_and_faults_leave_pre_unchanged(self, kind, kwargs):
+        sim, trace = _primed(kind, **kwargs)
+        pre = sim.native_state()
+        saved = _copy_state(pre)
+        blocks = trace.block_ids(8)
+        post = kernels.KERNELS[kind](pre, blocks, trace.kinds)
+        _assert_same_state(pre, saved)
+        for fault in ("wrong-count", "nan", "overflow"):
+            faulted = dict(post)
+            assert kernels._apply_fault(kind, fault, faulted, pre)
+            _assert_same_state(pre, saved)
+            assert json.dumps(kernels.json_state(faulted), sort_keys=True) != (
+                json.dumps(kernels.json_state(post), sort_keys=True)
+            )
+        _assert_same_state(pre, saved)
+
+    @pytest.mark.parametrize("kind", kernels.KERNEL_KINDS)
+    def test_declined_chunks_leave_state_unchanged(self, kind):
+        sim, trace = _primed(kind)
+        before = _dump(sim)
+        kernels.configure_kernels(tier="oracle", export_env=False)
+        assert not kernels.guard_run(kind, sim, trace)
+        _vector(min_refs=len(trace) + 1)
+        assert not kernels.guard_run(kind, sim, trace)
+        _vector()
+        assert not kernels.guard_run(kind, sim, _trace([0, 1, 1 << 45] * 50))
+        assert _dump(sim) == before
+
+    @pytest.mark.parametrize("kind", kernels.KERNEL_KINDS)
+    @pytest.mark.parametrize("fault", kernels._FAULT_KINDS)
+    def test_divergence_leaves_state_unchanged(
+        self, kind, fault, tmp_path, monkeypatch
+    ):
+        sim, trace = _primed(kind)
+        before = _dump(sim)
+        monkeypatch.setenv(kernels.FAULT_ENV, f"{kind}:{fault}:1")
+        _vector(bundle_dir=tmp_path)
+        assert not kernels.guard_run(kind, sim, trace)
+        assert _dump(sim) == before
+        assert kernels.quarantined(kind)
+        (event,) = kernels.drain_kernel_events()
+        assert event["reason"] == _EXPECTED_REASON[fault]
+        bundle = json.loads((tmp_path / f"{kind}-chunk000001.json").read_text())
+        assert bundle["pre_state"] == json.loads(before)
+        assert bundle["blocks"] == trace.block_ids(8).tolist()
+        # Quarantined: later chunks decline without touching the state.
+        assert not kernels.guard_run(kind, sim, trace)
+        assert _dump(sim) == before

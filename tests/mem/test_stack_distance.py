@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.mem.cache import FullyAssociativeCache, sweep_cache_sizes
 from repro.mem.stack_distance import (
     StackDistanceProfiler,
+    _FenwickTree,
     default_capacity_grid,
     profile_trace,
 )
@@ -163,3 +164,33 @@ class TestCapacityGrid:
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError):
             default_capacity_grid(min_bytes=1024, max_bytes=64)
+
+
+def _loop_built_tree(count, capacity):
+    """Reference construction: set the leaves, push each node into its
+    parent once."""
+    arr = np.zeros(capacity + 1, dtype=np.int64)
+    arr[1 : count + 1] = 1
+    for i in range(1, capacity + 1):
+        j = i + (i & -i)
+        if j <= capacity:
+            arr[j] += arr[i]
+    return arr
+
+
+class TestFenwickFromOnes:
+    @pytest.mark.parametrize("capacity", [1, 2, 7, 8, 4096, 5000])
+    def test_closed_form_matches_loop_built_tree(self, capacity):
+        for count in sorted({0, 1, capacity - 1, capacity}):
+            tree = _FenwickTree.from_ones(count, capacity)
+            assert tree._n == capacity
+            assert tree._tree.dtype == np.int64
+            np.testing.assert_array_equal(
+                tree._tree, _loop_built_tree(count, capacity)
+            )
+            for index in {0, count - 1, count, capacity - 1} - {-1, capacity}:
+                assert tree.prefix_sum(index) == min(index + 1, count)
+
+    def test_count_above_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            _FenwickTree.from_ones(9, 8)

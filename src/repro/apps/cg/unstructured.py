@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-import scipy.spatial
 
 
 @dataclass
@@ -55,6 +54,11 @@ class UnstructuredMesh:
 
 
 def _triangulate(points: np.ndarray) -> UnstructuredMesh:
+    # Imported here, not at module level: this is scipy's only user on
+    # the experiment registry's import path, and every CLI launch would
+    # otherwise pay for loading scipy.spatial.
+    import scipy.spatial
+
     tri = scipy.spatial.Delaunay(points)
     adjacency = [set() for _ in range(points.shape[0])]
     for simplex in tri.simplices:

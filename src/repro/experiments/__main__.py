@@ -103,6 +103,7 @@ from repro.experiments import (
 from repro.obs import console
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
+from repro.runtime import forkserver
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.engine import (
     CampaignEngine,
@@ -1116,6 +1117,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     if args.jobs < 0:
         print("--jobs must be >= 0")
+        return 2
+    if args.jobs >= 1 and not forkserver.supported():
+        print("--jobs >= 1 needs Linux (the worker fork server uses "
+              "os.pidfd_open); use --jobs 0 to run in-process")
         return 2
     if args.hard_timeout_seconds is not None and args.hard_timeout_seconds <= 0:
         print("--hard-timeout-seconds must be positive")

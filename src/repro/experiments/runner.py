@@ -4,13 +4,14 @@ Every experiment driver produces an :class:`ExperimentResult` holding
 the measured/model series plus paper-vs-measured comparisons, so that
 tests, benchmarks and EXPERIMENTS.md all consume the same object.
 
-This module is also the *worker-side* entry point of the hard-isolation
-backend (:mod:`repro.runtime.workers`): ``python -m
-repro.experiments.runner`` reads one JSON
+This module also holds the *worker-side* entry point of the
+hard-isolation backend (:mod:`repro.runtime.workers`): each worker
+process, freshly forked by the fork server (:mod:`repro.runtime.zygote`),
+calls :func:`worker_main`, which reads one JSON
 :class:`~repro.runtime.workers.AttemptSpec` from stdin, applies its
 address-space rlimit to itself, rebuilds the experiment runner and
 kwargs, runs exactly one attempt under the cooperative budget, and
-writes one JSON payload to stdout (see :func:`worker_main`).
+writes one JSON payload to stdout.
 """
 
 from __future__ import annotations
@@ -165,7 +166,9 @@ class ExperimentResult:
 # -- worker-side entry point (hard-isolation backend) ---------------------
 
 
-def worker_main(stdin_text: Optional[str] = None) -> int:
+def worker_main(
+    stdin_text: Optional[str] = None, started_at: Optional[float] = None
+) -> int:
     """Run one experiment attempt as a supervised worker process.
 
     Protocol (see :mod:`repro.runtime.workers`): one JSON
@@ -181,8 +184,13 @@ def worker_main(stdin_text: Optional[str] = None) -> int:
     before any experiment code runs, so stray prints cannot corrupt the
     protocol.
 
+    With telemetry on, a ``worker.startup`` span covers the process's
+    start-up: from ``started_at`` to the start of ``worker.run``.
+
     Args:
         stdin_text: The spec JSON (tests); None reads ``sys.stdin``.
+        started_at: Wall-clock time the worker process was forked (the
+            fork server passes it); None records no start-up span.
     """
     import json
     import os
@@ -192,11 +200,9 @@ def worker_main(stdin_text: Optional[str] = None) -> int:
     os.dup2(2, 1)
     sys.stdout = sys.stderr
 
+    import time
     from pathlib import Path
 
-    # Under ``python -m`` this file executes as ``__main__``; import the
-    # canonical class so isinstance checks match what experiments return.
-    from repro.experiments.runner import ExperimentResult as CanonicalResult
     from repro.runtime.budget import Budget, activate
     from repro.runtime.errors import ExperimentFailure, WorkerMemoryError
     from repro.runtime.faults import FaultSpec, fire_fault
@@ -249,6 +255,14 @@ def worker_main(stdin_text: Optional[str] = None) -> int:
                     workspace=Path(spec.workspace) if spec.workspace else None,
                     in_worker=True,
                 )
+            if worker_tracer is not None and started_at is not None:
+                worker_tracer.record(
+                    "worker.startup",
+                    t_wall=started_at,
+                    dur_s=max(0.0, time.time() - started_at),
+                    experiment_id=spec.experiment_id,
+                    attempt=spec.attempt,
+                )
             with obs_tracing.span(
                 "worker.run",
                 experiment_id=spec.experiment_id,
@@ -257,7 +271,7 @@ def worker_main(stdin_text: Optional[str] = None) -> int:
             ):
                 run = getattr(runner, "run", runner)
                 result = run(**spec.kwargs)
-        if not isinstance(result, CanonicalResult):
+        if not isinstance(result, ExperimentResult):
             raise TypeError(
                 f"experiment runner {runner!r} returned "
                 f"{type(result).__name__}, expected ExperimentResult"
@@ -346,7 +360,3 @@ def worker_main(stdin_text: Optional[str] = None) -> int:
         json.dump(payload, out)
         out.flush()
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(worker_main())

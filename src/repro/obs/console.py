@@ -5,9 +5,10 @@ stdout.  That was fine until three constraints piled up:
 
 - ``--quiet`` must silence progress without silencing results,
 - ``REPRO_LOG_LEVEL`` must control verbosity for cron/CI wrappers,
-- worker-mode stdout is a machine protocol (`worker_main` redirects
-  file descriptor 1 to stderr before experiment code runs) and no
-  library print may leak into it.
+- a worker process's stdout is a machine protocol (`worker_main`, which
+  each worker forked by the fork server runs, redirects file
+  descriptor 1 to stderr before experiment code runs) and no library
+  print may leak into it.
 
 :class:`Console` answers all three with deliberately boring code — no
 stdlib ``logging`` handlers/propagation machinery, just a level check

@@ -25,7 +25,8 @@ fragile for-loop into a pipeline that survives partial failure:
   it together: isolation per experiment, retry with exponential
   backoff, and graceful degradation to the quick parameterization.
 - :mod:`repro.runtime.workers` — hard process isolation: each attempt
-  in its own supervised subprocess with SIGTERM→SIGKILL deadlines,
+  in its own supervised worker process (forked from a warm fork server,
+  :mod:`repro.runtime.forkserver`) with SIGTERM→SIGKILL deadlines,
   address-space rlimits, and worker-death classification
   (:class:`WorkerCrashError` / :class:`WorkerTimeoutError` /
   :class:`WorkerMemoryError`); the default backend of the engine.

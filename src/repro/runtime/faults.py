@@ -33,7 +33,8 @@ which consults the plan and triggers the configured fault:
 The non-containable kinds (non-cooperative hang, memhog, die) are
 refused when fired in-process: they would do to the campaign exactly
 what the worker backend exists to prevent.  The worker entry point
-fires them with ``in_worker=True``.
+(:func:`repro.experiments.runner.worker_main`, run in each forked
+worker process) fires them with ``in_worker=True``.
 
 Every fault fires on the first ``fail_attempts`` attempts and then
 stands down, which lets tests script "fails once, succeeds degraded"
@@ -153,7 +154,8 @@ def fire_fault(
     """Trigger ``spec`` for one attempt.
 
     Shared by the in-process :class:`FaultInjector` and the worker
-    entry point (:func:`repro.experiments.runner.worker_main`).  The
+    entry point (:func:`repro.experiments.runner.worker_main`, in a
+    worker process forked by :mod:`repro.runtime.zygote`).  The
     kinds that can only be contained by killing a process are refused
     unless ``in_worker`` is True.
     """

@@ -5,9 +5,9 @@ code that polls it.  A hang in un-instrumented code (a numpy kernel,
 an octree build, a trace generator stuck in pure Python), a memory
 blowup, or a hard crash takes the whole campaign down with it.  This
 module contains those failures *outside* the failing code: every
-experiment attempt runs in its own spawned subprocess, and the
-supervisor enforces what the child cannot be trusted to enforce on
-itself:
+experiment attempt runs in its own fresh worker process, forked from a
+warm fork server (:mod:`repro.runtime.forkserver`), and the supervisor
+enforces what the child cannot be trusted to enforce on itself:
 
 - **Hard deadlines** — a worker that outlives its hard wall-clock
   deadline is sent SIGTERM, given a grace period, then SIGKILLed.
@@ -23,7 +23,7 @@ itself:
   :class:`~repro.runtime.errors.WorkerCrashError` failure feeding the
   engine's ordinary retry/degradation policy.
 - **Parallelism** — up to ``jobs`` experiments run concurrently, each
-  driven by a supervisor thread that blocks on its worker subprocess;
+  driven by a supervisor thread that blocks on its worker process;
   the final report and summary are ordered by the requested id list
   regardless of completion order.
 - **Graceful interruption** — SIGINT/SIGTERM in the supervisor kills
@@ -58,7 +58,7 @@ import threading
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from importlib import import_module
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.experiments.runner import ExperimentResult
 from repro.obs import metrics as obs_metrics
@@ -69,10 +69,14 @@ from repro.runtime.errors import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
+from repro.runtime.forkserver import (
+    ForkedWorker,
+    ForkServerLost,
+    SpawnCancelled,
+    spawn_worker,
+)
+from repro.runtime.forkserver import supported as forkserver_supported
 from repro.runtime.iofault import IOFAULT_ENV
-
-#: Module invoked as the worker entry point (``python -m ...``).
-WORKER_MODULE = "repro.experiments.runner"
 
 #: How much of a dead worker's stderr is kept for forensics.
 STDERR_TAIL_CHARS = 2000
@@ -321,7 +325,7 @@ def worker_environment() -> Dict[str, str]:
 
 
 class WorkerSupervisor:
-    """Spawns worker subprocesses and enforces hard containment.
+    """Starts worker processes and enforces hard containment.
 
     Thread-safe: one supervisor serves all pool threads, tracking live
     workers so an interrupt can kill every one of them.
@@ -329,10 +333,12 @@ class WorkerSupervisor:
     Args:
         hard_timeout_seconds: Wall-clock deadline per attempt; None
             waits forever (the in-worker cooperative budget may still
-            bound the attempt).
+            bound the attempt).  It also bounds the wait for the fork
+            server to fork the worker.
         term_grace_seconds: How long a worker gets between SIGTERM and
             SIGKILL.
-        python: Interpreter for workers (default: this interpreter).
+        python: Interpreter the workers are forked from (default: this
+            interpreter).
         on_event: Callback ``(event, experiment_id, detail_dict)`` —
             the engine routes these into its event log
             (``worker-killed`` etc.).
@@ -367,7 +373,13 @@ class WorkerSupervisor:
         self.on_event = on_event
         self.current_token = current_token
         self.obs_sink = obs_sink
-        self._live: Dict[int, subprocess.Popen] = {}
+        if not forkserver_supported():
+            raise RuntimeError(
+                "hard-isolated workers need Linux (the worker fork server uses "
+                "os.pidfd_open); run the campaign in-process with --jobs 0"
+            )
+        self._live: Dict[int, ForkedWorker] = {}
+        self._starting: Set[threading.Event] = set()
         self._lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------
@@ -376,20 +388,28 @@ class WorkerSupervisor:
         self, spec: AttemptSpec
     ) -> Tuple[Optional[ExperimentResult], Optional[ExperimentFailure]]:
         """Run one attempt in a fresh worker; classify however it ends."""
-        with tracing.span(
-            "worker.spawn", experiment_id=spec.experiment_id, attempt=spec.attempt
-        ) as spawn_span:
-            proc = subprocess.Popen(
-                [self.python, "-m", WORKER_MODULE],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                env=worker_environment(),
-                start_new_session=True,  # own process group: killable as a unit
+        cancel = threading.Event()
+        with self._lock:
+            self._starting.add(cancel)
+        try:
+            with tracing.span(
+                "worker.spawn", experiment_id=spec.experiment_id, attempt=spec.attempt
+            ) as spawn_span:
+                # A fresh session leader: its process group is killable as a unit.
+                proc = spawn_worker(
+                    self.python, worker_environment(), self.hard_timeout_seconds, cancel
+                )
+                if spawn_span is not None:
+                    spawn_span.attrs["worker_pid"] = proc.pid
+        except (ForkServerLost, SpawnCancelled) as exc:
+            return None, _worker_failure(
+                spec,
+                WorkerCrashError,
+                f"no worker could be started for {spec.experiment_id}: {exc}",
             )
-            if spawn_span is not None:
-                spawn_span.attrs["worker_pid"] = proc.pid
+        finally:
+            with self._lock:
+                self._starting.discard(cancel)
         obs_metrics.inc("worker.spawns")
         with self._lock:
             self._live[proc.pid] = proc
@@ -406,7 +426,7 @@ class WorkerSupervisor:
                 self._live.pop(proc.pid, None)
 
     def _converse(
-        self, spec: AttemptSpec, proc: subprocess.Popen
+        self, spec: AttemptSpec, proc: ForkedWorker
     ) -> Tuple[Optional[ExperimentResult], Optional[ExperimentFailure]]:
         killed_at_deadline = False
         try:
@@ -471,7 +491,7 @@ class WorkerSupervisor:
         )
 
     def _escalate(
-        self, spec: AttemptSpec, proc: subprocess.Popen
+        self, spec: AttemptSpec, proc: ForkedWorker
     ) -> Tuple[str, str]:
         """SIGTERM, wait out the grace period, then SIGKILL."""
         obs_metrics.inc("worker.deadline_kills")
@@ -495,7 +515,7 @@ class WorkerSupervisor:
             return proc.communicate()
 
     @staticmethod
-    def _kill(proc: subprocess.Popen, signum: int) -> None:
+    def _kill(proc: ForkedWorker, signum: int) -> None:
         """Signal the worker's whole process group (best effort)."""
         if proc.poll() is not None:
             return
@@ -512,8 +532,9 @@ class WorkerSupervisor:
     def kill_all(self, term_grace_seconds: Optional[float] = None) -> int:
         """TERM every live worker, grace, then KILL the stragglers.
 
-        Returns how many workers were signalled.  Called from the main
-        thread on SIGINT/SIGTERM; the pool threads blocked in
+        Returns how many workers were signalled.  Attempts still waiting
+        for the fork server to start their worker give up.  Called from
+        the main thread on SIGINT/SIGTERM; the pool threads blocked in
         ``communicate`` observe the deaths and classify them, but the
         engine's abort flag stops those failures from being retried or
         recorded.
@@ -525,6 +546,8 @@ class WorkerSupervisor:
         )
         with self._lock:
             victims = list(self._live.values())
+            for cancel in self._starting:
+                cancel.set()
         for proc in victims:
             self._kill(proc, signal.SIGTERM)
         deadline = _monotonic() + grace
@@ -578,12 +601,12 @@ def sigterm_as_interrupt() -> Iterator[None]:
 
 
 class WorkerPool:
-    """Schedules experiments onto supervised worker subprocesses.
+    """Schedules experiments onto supervised worker processes.
 
     One supervisor thread per in-flight experiment runs the engine's
     ordinary retry/degradation policy (``run_one``), with each attempt
-    executed in a fresh subprocess via :class:`WorkerSupervisor`.  The
-    thread count — not the subprocess count — is the concurrency cap:
+    executed in a fresh process via :class:`WorkerSupervisor`.  The
+    thread count — not the process count — is the concurrency cap:
     at most ``jobs`` workers are ever alive.
 
     Args:
@@ -637,7 +660,7 @@ class WorkerPool:
         kwargs: Dict[str, object],
         budget,
     ) -> Tuple[Optional[ExperimentResult], Optional[ExperimentFailure]]:
-        """The engine-facing attempt runner (one subprocess per call)."""
+        """The engine-facing attempt runner (one process per call)."""
         engine = self.engine
         runner, _ = engine.registry[experiment_id]
         fault_dict = None

@@ -3,11 +3,28 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.experiments.__main__ import EXPERIMENTS, SUBCOMMANDS, main
 from repro.runtime.checkpoint import CheckpointStore
+
+
+def test_cli_import_does_not_load_scipy():
+    """Only cg-unstructured triangulates; no other launch pays for scipy."""
+    probe = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, repro.experiments.__main__; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p)),
+    )
+    assert probe.stdout.strip() == "[]"
 
 
 def test_subcommands_cannot_shadow_experiment_ids():

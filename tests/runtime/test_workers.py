@@ -7,11 +7,15 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.runner import ExperimentResult
+from repro.obs import tracing
+from repro.runtime import forkserver
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.engine import CampaignEngine, EngineConfig
 from repro.runtime.errors import (
@@ -390,3 +394,305 @@ class TestGracefulInterruption:
         assert "table1 already completed" in resumed.stdout
         assert sorted(store.completed_ids()) == ["fig5", "table1"]
         assert store.read_summary()["status"] == "complete"
+
+
+# -- the fork server ------------------------------------------------------
+
+
+def _children(pid):
+    children = []
+    for task in Path(f"/proc/{pid}/task").glob("*"):
+        try:
+            children += [int(c) for c in (task / "children").read_text().split()]
+        except OSError:
+            continue
+    return children
+
+
+def _zygotes(parent):
+    found = []
+    for pid in _children(parent):
+        try:
+            argv = Path(f"/proc/{pid}/cmdline").read_bytes().split(b"\0")
+        except OSError:
+            continue
+        if any(arg.endswith(b"zygote.py") for arg in argv):
+            found.append(pid)
+    return found
+
+
+def _current_zygote():
+    """Pid of the fork server this process's supervisors now use."""
+    key = forkserver._server_key(sys.executable, worker_environment())
+    return forkserver._servers[key].proc.pid
+
+
+def _stat(pid):
+    """(state, process group) of a process; None once it is gone."""
+    try:
+        fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[2])
+
+
+def _running(pid):
+    """Alive and not merely a zombie waiting for an absent reaper."""
+    stat = _stat(pid)
+    return stat is not None and stat[0] not in "ZX"
+
+
+def _group_members(pgid):
+    members = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit() and _running(int(entry.name)):
+            stat = _stat(int(entry.name))
+            if stat is not None and stat[1] == pgid:
+                members.append(int(entry.name))
+    return members
+
+
+def _wait_for(predicate, timeout=30.0, what="condition"):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        value = predicate()
+        if value:
+            return value
+        time.sleep(0.02)
+    raise AssertionError(f"timed out waiting for {what}")
+
+
+def _cli_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    return env
+
+
+SITECUSTOMIZE = '''
+import atexit, json, os, sys
+
+_out = os.environ.get("FORKSERVER_HOOK_DIR")
+if _out:
+    _preloaded = sorted(m for m in sys.modules if m.split(".")[0] == "repro")
+    _path = os.path.join(_out, "%d.json" % os.getpid())
+
+    def _dump():
+        with open(_path, "w") as handle:
+            json.dump({"preloaded": _preloaded}, handle)
+
+    atexit.register(_dump)
+'''
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="uses /proc")
+class TestForkServer:
+    """Workers are forked from a warm fork server, yet each one looks
+    like a fresh interpreter and is contained like one."""
+
+    def test_startup_hooks_run_in_each_worker(self, tmp_path, monkeypatch):
+        hook_dir = tmp_path / "hook"
+        hook_dir.mkdir()
+        (hook_dir / "sitecustomize.py").write_text(SITECUSTOMIZE)
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.syspath_prepend(str(hook_dir))
+        monkeypatch.setenv("FORKSERVER_HOOK_DIR", str(out))
+        tracer = tracing.configure(buffered=True)
+        try:
+            supervisor = WorkerSupervisor(hard_timeout_seconds=60)
+            for n in range(3):
+                result, failure = supervisor.run_attempt(make_spec(kwargs={"n": n}))
+                assert failure is None
+        finally:
+            tracing.shutdown()
+        pids = sorted(
+            span.attrs["worker_pid"]
+            for span in tracer.drain()
+            if span.name == "worker.attempt"
+        )
+        assert len(set(pids)) == 3
+        assert sorted(int(p.stem) for p in out.glob("*.json")) == pids
+        for path in out.glob("*.json"):
+            assert json.loads(path.read_text())["preloaded"] == []
+
+    def test_worker_state_equals_a_cold_interpreter(self):
+        supervisor = WorkerSupervisor(hard_timeout_seconds=60)
+        result, failure = supervisor.run_attempt(
+            make_spec(runner=f"{TARGETS}:run_process_state")
+        )
+        assert failure is None
+        forked = json.loads(result.notes[0])
+        cold = subprocess.run(
+            [sys.executable, "-m", TARGETS],
+            capture_output=True, text=True, env=worker_environment(),
+            check=True, timeout=60,
+        )
+        assert forked == json.loads(cold.stdout)
+
+    def test_zygote_death_fails_the_attempt_and_is_replaced(self):
+        supervisor = WorkerSupervisor(hard_timeout_seconds=60)
+        supervisor.run_attempt(make_spec())  # make sure a zygote is up
+        zygote = _current_zygote()
+        outcome = {}
+
+        def hang():
+            outcome["value"] = supervisor.run_attempt(
+                make_spec(fault={"kind": "hang", "cooperative": False})
+            )
+
+        thread = threading.Thread(target=hang)
+        started = time.monotonic()
+        thread.start()
+        (worker,) = _wait_for(
+            lambda: supervisor.live_count() == 1 and _children(zygote),
+            what="the hanging worker",
+        )
+        os.kill(zygote, signal.SIGKILL)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert time.monotonic() - started < 30  # not the 60s deadline
+        result, failure = outcome["value"]
+        assert result is None
+        assert failure.error_type == "WorkerCrashError"
+        assert "fork server died" in failure.traceback_text
+        _wait_for(lambda: not _group_members(worker), what="the worker's group to die")
+
+        result, failure = supervisor.run_attempt(make_spec(kwargs={"n": 9}))
+        assert failure is None and result.notes == ["param n=9"]
+        assert _current_zygote() != zygote
+
+    def test_stalled_zygote_is_killed_and_replaced(self):
+        supervisor = WorkerSupervisor(hard_timeout_seconds=2.0)
+        supervisor.run_attempt(make_spec())  # make sure a zygote is up
+        zygote = _current_zygote()
+        outcome = {}
+
+        def attempt():
+            started = time.monotonic()
+            outcome["value"] = supervisor.run_attempt(make_spec(kwargs={"n": 4}))
+            outcome["elapsed"] = time.monotonic() - started
+
+        os.kill(zygote, signal.SIGSTOP)
+        thread = threading.Thread(target=attempt)
+        try:
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        finally:
+            if _running(zygote):
+                os.kill(zygote, signal.SIGKILL)
+            thread.join()
+        # The stalled zygote got the 2s deadline to fork the worker, was
+        # killed, and a new one ran the attempt.
+        result, failure = outcome["value"]
+        assert failure is None and result.notes == ["param n=4"]
+        assert 2.0 <= outcome["elapsed"] < 30
+        assert not _running(zygote)
+        assert _current_zygote() != zygote
+
+    def test_interrupt_reaches_an_attempt_waiting_for_its_worker(self):
+        supervisor = WorkerSupervisor()  # no deadline: only kill_all ends the wait
+        supervisor.run_attempt(make_spec())  # make sure a zygote is up
+        zygote = _current_zygote()
+        outcome = {}
+
+        def attempt():
+            outcome["value"] = supervisor.run_attempt(make_spec())
+
+        os.kill(zygote, signal.SIGSTOP)
+        thread = threading.Thread(target=attempt)
+        try:
+            thread.start()
+            time.sleep(0.5)
+            assert thread.is_alive()
+            supervisor.kill_all(term_grace_seconds=0.1)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            os.kill(zygote, signal.SIGCONT)
+        result, failure = outcome["value"]
+        assert result is None
+        assert failure.error_type == "WorkerCrashError"
+        assert "cancelled" in failure.message
+        # The zygote itself was healthy, merely slow: it is kept.
+        assert supervisor.run_attempt(make_spec())[1] is None
+        assert _current_zygote() == zygote
+
+    def test_sigkilled_campaign_leaves_no_zygote(self, tmp_path):
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.experiments", "--quick",
+                "--jobs", "1", "--run-dir", str(tmp_path / "run"),
+                "--inject-fault", "table1=hang-hard:99", "table1",
+            ],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=_cli_env(),
+        )
+        try:
+            def zygote_with_worker():
+                for zygote in _zygotes(proc.pid):
+                    workers = _children(zygote)
+                    if workers:
+                        return zygote, workers[0]
+                return None
+
+            zygote, worker = _wait_for(zygote_with_worker, timeout=60, what="a worker")
+        finally:
+            proc.kill()
+            proc.wait()
+        _wait_for(
+            lambda: not _running(zygote) and not _running(worker),
+            what="the zygote and its worker to exit",
+        )
+
+    def test_worker_cpu_reaches_the_cli_rusage(self, tmp_path):
+        run_dir = tmp_path / "run"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.experiments", "--quick",
+                "--jobs", "1", "--hard-timeout-seconds", "3",
+                "--max-attempts", "1", "--run-dir", str(run_dir),
+                "--inject-fault", "table1=hang-hard", "table1",
+            ],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=_cli_env(),
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        cpu_s = usage.ru_utime + usage.ru_stime
+        # The hard hang spins on the CPU until it is killed at the
+        # 3s deadline; that time must be in the CLI's children rusage.
+        burned = sum(
+            span.dur_s
+            for span in tracing.read_spans(run_dir / "spans.jsonl")
+            if span.name == "worker.attempt"
+        )
+        assert burned >= 3.0
+        assert cpu_s >= 0.7 * burned, (cpu_s, burned)
+
+    def test_every_attempt_ships_one_startup_span(self, tmp_path):
+        run_dir = tmp_path / "run"
+        subprocess.run(
+            [
+                sys.executable, "-m", "repro.experiments", "--quick",
+                "--jobs", "2", "--run-dir", str(run_dir), "table1", "table2", "cost",
+            ],
+            check=True, capture_output=True, env=_cli_env(), timeout=300,
+        )
+        spans = tracing.read_spans(run_dir / "spans.jsonl")
+
+        def by_attempt(name):
+            found = {}
+            for span in spans:
+                if span.name == name:
+                    key = (span.attrs["experiment_id"], span.attrs["attempt"])
+                    found.setdefault(key, []).append(span)
+            return found
+
+        attempts = by_attempt("worker.attempt")
+        runs = by_attempt("worker.run")
+        startups = by_attempt("worker.startup")
+        assert sorted(attempts) == sorted(startups) and len(attempts) == 3
+        for key, (attempt,) in attempts.items():
+            (startup,) = startups[key]
+            (run,) = runs[key]
+            assert 0 < startup.dur_s <= attempt.dur_s - run.dur_s
+            assert startup.pid == run.pid == attempt.attrs["worker_pid"]

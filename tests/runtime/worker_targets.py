@@ -10,6 +10,11 @@ inside workers too).
 
 from __future__ import annotations
 
+import json
+import os
+import signal
+import sys
+
 from repro.experiments.runner import ExperimentResult
 
 
@@ -50,6 +55,36 @@ def run_sigkill(**kwargs) -> ExperimentResult:
     return run_ok(**kwargs)  # pragma: no cover - never reached
 
 
+def process_state() -> dict:
+    """What a fresh interpreter is handed: environment, import path,
+    working directory, the dispositions of the signals the supervisor
+    relies on, and where numpy was imported from."""
+
+    def disposition(signum: int) -> str:
+        handler = signal.getsignal(signum)
+        return getattr(handler, "__name__", None) or repr(handler)
+
+    import numpy
+
+    return {
+        "numpy": numpy.__file__,
+        "environ": dict(os.environ),
+        "path": list(sys.path),
+        "cwd": os.getcwd(),
+        "signals": {
+            sig.name: disposition(sig)
+            for sig in (signal.SIGINT, signal.SIGPIPE, signal.SIGTERM)
+        },
+    }
+
+
+def run_process_state(**kwargs) -> ExperimentResult:
+    """Reports :func:`process_state` as seen by the worker."""
+    result = run_ok(**kwargs)
+    result.notes = [json.dumps(process_state())]
+    return result
+
+
 def _factory():
     def local_runner(**kwargs):  # pragma: no cover - never shipped
         return run_ok(**kwargs)
@@ -60,3 +95,9 @@ def _factory():
 #: A closure: has a qualname, but one containing ``<locals>`` — not
 #: shippable by reference.
 local_runner = _factory()
+
+
+if __name__ == "__main__":
+    # ``python -m tests.runtime.worker_targets``: the same state, from
+    # a cold interpreter.
+    print(json.dumps(process_state()))

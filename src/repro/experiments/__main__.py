@@ -228,16 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 1)",
     )
     parser.add_argument(
-        "--nodes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard the campaign across N long-lived worker-node "
-        "processes (the fault-tolerant dispatch fabric: fenced "
-        "assignment, failover re-dispatch, straggler hedging; see "
-        "docs/ROBUSTNESS.md); requires --jobs >= 1",
-    )
-    parser.add_argument(
         "--hard-timeout-seconds",
         type=float,
         default=None,
@@ -580,27 +570,12 @@ def chaos_command(argv: List[str]) -> int:
         dest="shard_refs",
         help="--shard-refs for the streamed campaigns under test",
     )
-    parser.add_argument(
-        "--nodes", type=int, default=None, metavar="N",
-        help="run every campaign on an N-node dispatch fabric and aim "
-        "the chaos at the nodes: seeded node self-kills (mid-attempt "
-        "and mid-heartbeat) with every third cycle a partition whose "
-        "healed stale results must be fenced; the summary must stay "
-        "byte-identical to an uninterrupted --nodes 1 reference "
-        "(requires --jobs >= 1)",
-    )
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.cycles < 0 or args.enospc_cycles < 0:
         print("--cycles and --enospc-cycles must be >= 0")
-        return 2
-    if args.nodes is not None and args.nodes < 1:
-        print("--nodes must be >= 1")
-        return 2
-    if args.nodes is not None and args.jobs < 1:
-        print("--nodes requires --jobs >= 1")
         return 2
     if args.cycles + args.enospc_cycles < 1:
         print("nothing to do: --cycles + --enospc-cycles must be >= 1")
@@ -630,7 +605,6 @@ def chaos_command(argv: List[str]) -> int:
         deep=args.deep,
         stream=args.stream,
         shard_refs=args.shard_refs,
-        nodes=args.nodes,
     )
     print(report.render())
     if not report.passed:
@@ -729,12 +703,6 @@ def serve_command(argv: List[str]) -> int:
         help="engine --jobs per campaign; 0 = in-process (default: 0)",
     )
     parser.add_argument(
-        "--nodes", type=int, default=None, metavar="N",
-        help="run campaigns on a shared N-node dispatch fabric "
-        "(fenced assignment, failover re-dispatch, hedging; requires "
-        "--jobs >= 1; default: no fabric)",
-    )
-    parser.add_argument(
         "--quick", action="store_true",
         help="force every campaign to the quick parameterization",
     )
@@ -786,7 +754,6 @@ def serve_command(argv: List[str]) -> int:
             max_queued=args.max_queued,
             dispatchers=args.dispatchers,
             jobs=args.jobs,
-            nodes=args.nodes,
             quick=args.quick,
             max_attempts=args.max_attempts,
             default_deadline_seconds=args.default_deadline_seconds,
@@ -1125,13 +1092,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.hard_timeout_seconds is not None and args.hard_timeout_seconds <= 0:
         print("--hard-timeout-seconds must be positive")
         return 2
-    if args.nodes is not None and args.nodes < 1:
-        print("--nodes must be >= 1")
-        return 2
-    if args.nodes is not None and args.jobs < 1:
-        print("--nodes requires --jobs >= 1 (the in-process serial "
-              "backend cannot be sharded across nodes)")
-        return 2
     if args.max_rss_mb is not None and args.max_rss_mb <= 0:
         print("--max-rss-mb must be positive")
         return 2
@@ -1192,9 +1152,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         configure_streaming(stream_dir, shard_refs=args.shard_refs)
 
     # Self-verifying simulation kernels: install the ambient policy
-    # (module global + environment, inherited by workers and dispatch
-    # nodes).  Divergence repro bundles land inside the run directory
-    # so `validate` can audit them.
+    # (module global + environment, inherited by workers).  Divergence
+    # repro bundles land inside the run directory so `validate` can
+    # audit them.
     from repro.mem.kernels import configure_kernels
 
     configure_kernels(
@@ -1269,35 +1229,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(recovery.render())
             journal.append("recovered", **recovery.to_dict())
 
-    # Multi-node dispatch: install the fabric through the engine's
-    # pool-factory seam.  The fabric's registry snapshot, node logs,
-    # and per-campaign dispatch.wal live in the run directory (or a
-    # temp directory for an ephemeral run).
-    pool_factory = None
-    if args.nodes is not None:
-        from repro.service.dispatch import (
-            DispatchPool,
-            FabricConfig,
-            NodeFabric,
-        )
-
-        fabric_dir = (
-            store.run_dir
-            if store is not None
-            else Path(tempfile.mkdtemp(prefix="repro-fabric-"))
-        )
-        fabric_config = FabricConfig(nodes=args.nodes)
-
-        def pool_factory(engine):
-            fabric = NodeFabric(
-                fabric_dir,
-                config=fabric_config,
-                on_event=lambda event, experiment_id, detail: (
-                    engine.log_event(event, experiment_id, **detail)
-                ),
-            )
-            return DispatchPool(engine, fabric)
-
     event_log = EventLog(store.events_path) if store is not None else None
     engine = CampaignEngine(
         EXPERIMENTS,
@@ -1317,7 +1248,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         event_log=event_log,
         journal=journal,
         recovery=recovery,
-        pool_factory=pool_factory,
     )
     try:
         report = engine.run(wanted)

@@ -62,7 +62,7 @@ from repro.mem.trace import READ, Trace
 KERNEL_KINDS = ("fullassoc", "setassoc", "stackdist")
 
 #: Environment knobs (exported by :func:`configure_kernels` so worker
-#: processes and dispatch nodes inherit the campaign's kernel policy).
+#: processes inherit the campaign's kernel policy).
 TIER_ENV = "REPRO_KERNEL_TIER"
 VERIFY_ENV = "REPRO_KERNEL_VERIFY"
 FAULT_ENV = "REPRO_KERNELFAULT"
@@ -567,9 +567,8 @@ def configure_kernels(
     """Install the ambient kernel configuration for this process.
 
     With ``export_env`` (the default) the configuration is also placed
-    in ``os.environ`` so worker subprocesses and dispatched nodes —
-    which inherit the supervisor's environment — apply the same kernel
-    policy.  Unspecified fields keep their current (or environment)
+    in ``os.environ`` so worker subprocesses — which inherit the
+    supervisor's environment — apply the same kernel policy.  Unspecified fields keep their current (or environment)
     values.
     """
     global _ACTIVE_CONFIG

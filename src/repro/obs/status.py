@@ -13,12 +13,7 @@ already writes —
 - ``summary.json`` / ``manifest.json`` give the requested set and the
   terminal verdicts;
 - ``supervisor.lease`` tells live from dead (heartbeat freshness);
-- ``metrics.json`` supplies throughput (refs simulated, refs/sec);
-- ``nodes.json`` (when the campaign ran on a ``--nodes`` dispatch
-  fabric) gives per-node liveness, inflight load, death counts, and
-  circuit-breaker state, and ``breaker-transition`` events reconstruct
-  the breaker state-machine history (closed → open → half-open) with
-  wall-clock timestamps.
+- ``metrics.json`` supplies throughput (refs simulated, refs/sec).
 
 :func:`load_status` builds a :class:`CampaignStatus`;
 :func:`render_status` formats it for a terminal (the ``--follow`` mode
@@ -116,9 +111,6 @@ class CampaignStatus:
     trace_id: Optional[str] = None
     updated_wall: Optional[float] = None
     eta_seconds: Optional[float] = None
-    nodes: Optional[Dict[str, object]] = None
-    breaker_transitions: List[Dict[str, object]] = field(default_factory=list)
-    dispatch: Optional[Dict[str, int]] = None
     kernels: Optional[Dict[str, Dict[str, object]]] = None
     working_set: Optional[Dict[str, object]] = None
     notes: List[str] = field(default_factory=list)
@@ -156,9 +148,6 @@ class CampaignStatus:
             "trace_id": self.trace_id,
             "updated_wall": self.updated_wall,
             "eta_seconds": self.eta_seconds,
-            "nodes": self.nodes,
-            "breaker_transitions": list(self.breaker_transitions),
-            "dispatch": self.dispatch,
             "kernels": self.kernels,
             "working_set": self.working_set,
             "notes": list(self.notes),
@@ -201,30 +190,10 @@ def load_metrics_snapshot(
 BREAKER_HISTORY_LIMIT = 20
 
 
-def load_nodes_snapshot(
-    run_dir: Union[str, Path]
-) -> Optional[Dict[str, object]]:
-    """Read ``<run_dir>/nodes.json`` (dispatch-fabric per-node health
-    snapshot); None when absent, damaged, or not fabric-shaped."""
-    from repro.service.dispatch import NODES_SNAPSHOT_FILENAME
-
-    path = Path(run_dir) / NODES_SNAPSHOT_FILENAME
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    if not isinstance(payload.get("nodes"), dict):
-        return None
-    return payload
-
-
 def _breaker_transitions_from_records(
-    records: List[Dict[str, object]], wall_key: str
+    records: List[Dict[str, object]]
 ) -> List[Dict[str, object]]:
-    """Normalise ``breaker-transition`` records (campaign events carry
-    ``t_wall``, service WAL records carry ``at_wall``) into
+    """Normalise service-WAL ``breaker-transition`` records into
     ``{breaker, from_state, to_state, at_wall}`` history entries."""
     history: List[Dict[str, object]] = []
     for record in records:
@@ -232,7 +201,7 @@ def _breaker_transitions_from_records(
         new = record.get("to_state")
         if not isinstance(old, str) or not isinstance(new, str):
             continue
-        wall = record.get(wall_key)
+        wall = record.get("at_wall")
         history.append(
             {
                 "breaker": str(record.get("breaker") or "service"),
@@ -244,35 +213,6 @@ def _breaker_transitions_from_records(
             }
         )
     return history[-BREAKER_HISTORY_LIMIT:]
-
-
-def _dispatch_counters_from_metrics(
-    snapshot: Optional[Dict[str, object]]
-) -> Optional[Dict[str, int]]:
-    """Fabric activity counters (``node.*``) from a metrics snapshot;
-    None when the campaign never ran on a dispatch fabric."""
-    if snapshot is None:
-        return None
-    campaign = snapshot.get("campaign")
-    if not isinstance(campaign, dict):
-        return None
-    counters = campaign.get("counters")
-    if not isinstance(counters, dict):
-        return None
-    wanted = (
-        "node.spawns",
-        "node.deaths",
-        "node.redispatches",
-        "node.hedges",
-        "node.stale_rejected",
-        "node.results",
-    )
-    out = {
-        name.split(".", 1)[1]: int(counters[name])
-        for name in wanted
-        if isinstance(counters.get(name), (int, float))
-    }
-    return out or None
 
 
 def _throughput_from_metrics(
@@ -544,9 +484,6 @@ def load_status(
     if metrics is not None and isinstance(metrics.get("trace_id"), str):
         status.trace_id = metrics["trace_id"]
 
-    # -- dispatch fabric: per-node health and breaker history ----------
-    status.nodes = load_nodes_snapshot(run_dir)
-    status.dispatch = _dispatch_counters_from_metrics(metrics)
     status.kernels = _kernel_tallies_from_metrics(metrics)
 
     # -- temporal working set: newest phase/knee from timeline.jsonl ---
@@ -556,10 +493,6 @@ def load_status(
         status.working_set = load_working_set(run_dir)
     except Exception:
         status.working_set = None
-    status.breaker_transitions = _breaker_transitions_from_records(
-        [r for r in events if r.get("event") == "breaker-transition"],
-        "t_wall",
-    )
 
     durations = [
         entry.elapsed_seconds()
@@ -597,34 +530,6 @@ def _format_wall(value: Optional[float]) -> str:
     if value is None:
         return "-"
     return time.strftime("%H:%M:%S", time.localtime(value))
-
-
-def _render_node_lines(nodes: Dict[str, object]) -> List[str]:
-    """Shared per-node health table (campaign and service views)."""
-    lines = [
-        f"nodes: {nodes.get('live', 0)}/{nodes.get('total', 0)} live",
-        (
-            f"  {'node':<10} {'state':<6} {'pid':>7} {'inc':>4} "
-            f"{'inflight':>8} {'deaths':>6} {'breaker':<9} last-heartbeat"
-        ),
-    ]
-    entries = nodes.get("nodes")
-    if not isinstance(entries, dict):
-        return lines
-    for node_id in sorted(entries):
-        node = entries[node_id]
-        if not isinstance(node, dict):
-            continue
-        heartbeat = node.get("last_heartbeat_wall")
-        lines.append(
-            f"  {node_id:<10} "
-            f"{'live' if node.get('alive') else 'dead':<6} "
-            f"{node.get('pid') or '-':>7} {node.get('token') or '-':>4} "
-            f"{node.get('inflight', 0):>8} {node.get('deaths', 0):>6} "
-            f"{node.get('breaker') or '-':<9} "
-            f"{_format_wall(heartbeat if isinstance(heartbeat, (int, float)) else None)}"
-        )
-    return lines
 
 
 def _render_breaker_history(
@@ -710,17 +615,6 @@ def render_status(status: CampaignStatus) -> str:
         f"artifacts: {status.events_seen} event(s), "
         f"{status.journal_records} journal record(s)"
     )
-    if status.nodes is not None:
-        lines.extend(_render_node_lines(status.nodes))
-        if status.dispatch:
-            lines.append(
-                "dispatch: "
-                + ", ".join(
-                    f"{name.replace('_', ' ')} {value}"
-                    for name, value in sorted(status.dispatch.items())
-                )
-            )
-    lines.extend(_render_breaker_history(status.breaker_transitions))
     if status.experiments:
         lines.append("")
         lines.append(
@@ -758,9 +652,8 @@ def load_service_status(root: Union[str, Path]) -> Dict[str, object]:
     depth (from the ``service.queue.depth.<tenant>`` gauges), plus the
     cache hit ratio, circuit-breaker state, breaker state-machine
     history (``breaker-transition`` records replayed from the service
-    WAL), and — when the service runs a ``--nodes`` dispatch fabric —
-    per-node health from the root ``nodes.json`` snapshot.  All
-    reconstructed from artifacts, never by talking to the service.
+    WAL).  All reconstructed from artifacts, never by talking to the
+    service.
     Tolerant of missing or damaged files, like :func:`load_status`.
     """
     from repro.runtime.journal import read_journal
@@ -823,17 +716,16 @@ def load_service_status(root: Union[str, Path]) -> Dict[str, object]:
             int(breaker_gauge), f"unknown({int(breaker_gauge)})"
         )
     # Breaker state-machine history: the service journals every
-    # transition (its own breaker and the per-node fabric breakers) as
-    # ``breaker-transition`` WAL records; replay is tolerant of a torn
-    # tail, matching the read-only contract of this function.
+    # transition as a ``breaker-transition`` WAL record; replay is
+    # tolerant of a torn tail, matching the read-only contract of this
+    # function.
     replay = read_journal(root / "service.wal")
     breaker_transitions = _breaker_transitions_from_records(
         [
             r
             for r in replay.records
             if r.get("type") == "breaker-transition"
-        ],
-        "at_wall",
+        ]
     )
     return {
         "root": str(root),
@@ -853,7 +745,6 @@ def load_service_status(root: Union[str, Path]) -> Dict[str, object]:
         },
         "breaker_state": breaker_state,
         "breaker_transitions": breaker_transitions,
-        "nodes": load_nodes_snapshot(root),
         "submissions": {
             "accepted": _count("service.admission.accepted"),
             "rejected_tenant": _count("service.admission.rejected_tenant"),
@@ -878,9 +769,6 @@ def render_service_status(rollup: Dict[str, object]) -> str:
     breaker = rollup.get("breaker_state")
     if breaker is not None:
         lines.append(f"breaker: {breaker}")
-    nodes = rollup.get("nodes")
-    if isinstance(nodes, dict):
-        lines.extend(_render_node_lines(nodes))
     transitions = rollup.get("breaker_transitions")
     if isinstance(transitions, list) and transitions:
         lines.extend(_render_breaker_history(transitions))

@@ -293,14 +293,6 @@ class CampaignEngine:
             ``committed`` (in-doubt and lost ones re-run even if a
             checkpoint file exists); without it, resume falls back to
             checkpoint presence.
-        pool_factory: Optional callable ``(engine) -> pool`` selecting
-            the parallel backend; the returned pool must expose
-            ``run(wanted, collected)`` like
-            :class:`~repro.runtime.workers.WorkerPool`.  None (the
-            default) selects the single-host worker pool; the
-            multi-node dispatch fabric (:mod:`repro.service.dispatch`)
-            installs itself through this seam so ``repro.runtime``
-            never imports ``repro.service``.
     """
 
     def __init__(
@@ -314,7 +306,6 @@ class CampaignEngine:
         event_log: Optional[EventLog] = None,
         journal: Optional[Journal] = None,
         recovery: Optional[RecoveryReport] = None,
-        pool_factory: Optional[Callable[["CampaignEngine"], object]] = None,
     ) -> None:
         self.registry = dict(registry)
         self.quick_overrides = dict(quick_overrides or {})
@@ -325,7 +316,6 @@ class CampaignEngine:
         self.event_log = event_log
         self.journal = journal
         self.recovery = recovery
-        self.pool_factory = pool_factory
         # The store and callbacks are shared by worker-pool supervisor
         # threads; serialize access so checkpoint flushes and progress
         # lines never interleave.
@@ -404,8 +394,6 @@ class CampaignEngine:
                 if self.config.jobs == 0:
                     for experiment_id in wanted:
                         collected.append(self.run_one(experiment_id))
-                elif self.pool_factory is not None:
-                    self.pool_factory(self).run(wanted, collected)
                 else:
                     from repro.runtime.workers import WorkerPool
 

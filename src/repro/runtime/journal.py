@@ -80,15 +80,9 @@ JOURNAL_MAGIC = "WAL1"
 #: ``sim-checkpoint`` belong to the streaming trace substrate
 #: (:mod:`repro.mem.shards` / :mod:`repro.mem.streamsim`): one per
 #: sealed trace shard (``shards.wal`` inside a ``.trd`` directory) and
-#: one per simulator snapshot (``<key>.ckpt.wal``).  The ``dispatch-*``
-#: family belongs to the multi-node dispatch fabric
-#: (:mod:`repro.service.dispatch`): its assignment WAL
-#: (``dispatch.wal``) records every assignment handed to a node
-#: (``dispatch-assign``), re-dispatch after a node death or partition
-#: (``dispatch-requeue``), hedged duplicates for stragglers
-#: (``dispatch-hedge``), the single accepted result per attempt uid
-#: (``dispatch-complete``), and every fenced-out late/stale result
-#: (``dispatch-fenced``).
+#: one per simulator snapshot (``<key>.ckpt.wal``).
+#: ``breaker-transition`` records the service circuit breaker's state
+#: changes in the service WAL.
 RECORD_TYPES = (
     "campaign-start",
     "attempt-start",
@@ -102,11 +96,6 @@ RECORD_TYPES = (
     "submission-done",
     "shard-sealed",
     "sim-checkpoint",
-    "dispatch-assign",
-    "dispatch-complete",
-    "dispatch-requeue",
-    "dispatch-hedge",
-    "dispatch-fenced",
     "breaker-transition",
 )
 

@@ -27,11 +27,9 @@ test.  State changes are exported as the ``service.breaker.state``
 gauge (0 closed, 1 half-open, 2 open) plus trip/probe counters, and
 every state *transition* is additionally delivered to an optional
 ``on_transition(old, new, t_wall)`` callback — the service uses it to
-write ``breaker-transition`` records into its event log so ``status``
+write ``breaker-transition`` records into its WAL so ``status``
 can show the closed→open→half-open history with timestamps, not just
-the current gauge.  A ``gauge_prefix`` makes the breaker reusable per
-node (``node.breaker.<id>.state``) without colliding with the
-service-wide instance.
+the current gauge.
 """
 
 from __future__ import annotations
@@ -63,8 +61,6 @@ class CircuitBreaker:
         cooldown_seconds: How long the breaker stays open before it
             lets one half-open probe through.
         clock: Injectable monotonic time source.
-        gauge_prefix: Metric namespace (default ``service.breaker``;
-            per-node instances pass ``node.breaker.<node_id>``).
         on_transition: Optional callback invoked (outside the lock)
             once per state change as ``(old_state, new_state, t_wall)``.
         wall_clock: Wall time stamped onto transitions.
@@ -75,7 +71,6 @@ class CircuitBreaker:
         failure_threshold: int = 3,
         cooldown_seconds: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
-        gauge_prefix: str = "service.breaker",
         on_transition: Optional[Callable[[str, str, float], None]] = None,
         wall_clock: Callable[[], float] = time.time,
     ) -> None:
@@ -89,7 +84,6 @@ class CircuitBreaker:
             )
         self.failure_threshold = failure_threshold
         self.cooldown_seconds = cooldown_seconds
-        self.gauge_prefix = gauge_prefix
         self.on_transition = on_transition
         self._clock = clock
         self._wall_clock = wall_clock
@@ -169,7 +163,7 @@ class CircuitBreaker:
                 allowed = True
             elif self._state == STATE_HALF_OPEN and not self._probe_outstanding:
                 self._probe_outstanding = True
-                obs_metrics.inc(f"{self.gauge_prefix}.probes")
+                obs_metrics.inc("service.breaker.probes")
                 allowed = True
             else:
                 allowed = False
@@ -195,7 +189,7 @@ class CircuitBreaker:
             if self._state != STATE_CLOSED:
                 self._set_state_locked(STATE_CLOSED)
                 self._probe_outstanding = False
-                obs_metrics.inc(f"{self.gauge_prefix}.closes")
+                obs_metrics.inc("service.breaker.closes")
             self._export()
         self._flush_transitions()
 
@@ -216,7 +210,7 @@ class CircuitBreaker:
                     # pool, so the probe counts as pool success.
                     self._set_state_locked(STATE_CLOSED)
                     self._probe_outstanding = False
-                    obs_metrics.inc(f"{self.gauge_prefix}.closes")
+                    obs_metrics.inc("service.breaker.closes")
                 self._export()
             else:
                 self._consecutive += 1
@@ -236,13 +230,13 @@ class CircuitBreaker:
         self._set_state_locked(STATE_OPEN)
         self._opened_at = self._clock()
         self._probe_outstanding = False
-        obs_metrics.inc(f"{self.gauge_prefix}.trips")
+        obs_metrics.inc("service.breaker.trips")
         self._export()
 
     def _export(self) -> None:
         obs_metrics.set_gauge(
-            f"{self.gauge_prefix}.state", STATE_GAUGE[self._state]
+            "service.breaker.state", STATE_GAUGE[self._state]
         )
         obs_metrics.set_gauge(
-            f"{self.gauge_prefix}.consecutive_failures", self._consecutive
+            "service.breaker.consecutive_failures", self._consecutive
         )

@@ -101,9 +101,6 @@ class ServiceConfig:
         max_queued: Global queued-submission cap (the memory bound).
         dispatchers: Concurrent campaign-running threads.
         jobs: ``EngineConfig.jobs`` for each campaign (0 = in-process).
-        nodes: When set, campaigns run on a shared multi-node dispatch
-            fabric of this many worker-node processes
-            (:mod:`repro.service.dispatch`); requires ``jobs >= 1``.
         quick: Force every campaign to quick parameterizations.
         max_attempts: Per-experiment attempt budget.
         default_deadline_seconds: Deadline applied when a submission
@@ -121,7 +118,6 @@ class ServiceConfig:
     max_queued: int = 64
     dispatchers: int = 1
     jobs: int = 0
-    nodes: Optional[int] = None
     quick: bool = False
     max_attempts: int = 3
     default_deadline_seconds: Optional[float] = None
@@ -139,14 +135,6 @@ class ServiceConfig:
             raise ValueError(f"jobs must be >= 0 (got {self.jobs})")
         if self.max_deadline_seconds <= 0:
             raise ValueError("max_deadline_seconds must be positive")
-        if self.nodes is not None:
-            if self.nodes < 1:
-                raise ValueError(f"nodes must be >= 1 (got {self.nodes})")
-            if self.jobs < 1:
-                raise ValueError(
-                    "nodes requires jobs >= 1 (the in-process backend "
-                    "cannot be sharded across nodes)"
-                )
 
 
 @dataclass
@@ -212,10 +200,9 @@ class CampaignService:
             failure_threshold=self.config.breaker_threshold,
             cooldown_seconds=self.config.breaker_cooldown_seconds,
             clock=self.config.clock,
-            on_transition=self._breaker_transition("service"),
+            on_transition=self._journal_breaker_transition,
             wall_clock=self.config.wall_clock,
         )
-        self.fabric = None  # a NodeFabric when config.nodes is set
         self._lock = threading.Lock()
         self._submissions: Dict[str, Submission] = {}
         self._seq = 0
@@ -267,21 +254,6 @@ class CampaignService:
             wall_clock=self.config.wall_clock,
         )
         self._recover_submissions(replay.records)
-        if self.config.nodes is not None:
-            from repro.service.dispatch import FabricConfig, NodeFabric
-
-            self.fabric = NodeFabric(
-                self.root,
-                config=FabricConfig(
-                    nodes=self.config.nodes,
-                    breaker_failure_threshold=self.config.breaker_threshold,
-                    breaker_cooldown_seconds=(
-                        self.config.breaker_cooldown_seconds
-                    ),
-                ),
-                on_event=self._fabric_event,
-            )
-            self.fabric.start()
         for index in range(self.config.dispatchers):
             thread = threading.Thread(
                 target=self._dispatch_loop,
@@ -366,30 +338,21 @@ class CampaignService:
                 self._submissions[campaign_id] = submission
                 self._seq += 1
 
-    # -- breaker / fabric telemetry ----------------------------------
+    # -- breaker telemetry -------------------------------------------
 
-    def _breaker_transition(self, name: str) -> Callable[[str, str, float], None]:
-        """An ``on_transition`` callback journaling state changes.
+    def _journal_breaker_transition(self, old: str, new: str, t_wall: float) -> None:
+        """The breaker's ``on_transition`` callback: journal the move.
 
         The transition history (not just the current gauge) is what
         ``status --follow`` renders; the WAL is the durable witness.
         """
-
-        def callback(old: str, new: str, t_wall: float) -> None:
-            self._journal_breaker_transition(name, old, new, t_wall)
-
-        return callback
-
-    def _journal_breaker_transition(
-        self, name: str, old: str, new: str, t_wall: float
-    ) -> None:
         journal = self._journal
         if journal is None:
             return  # a transition before start()/after close: gauge only
         try:
             journal.append(
                 "breaker-transition",
-                breaker=str(name),
+                breaker="service",
                 from_state=old,
                 to_state=new,
                 at_wall=t_wall,
@@ -397,18 +360,6 @@ class CampaignService:
         except OSError:
             pass  # telemetry must not wedge the breaker
         obs_metrics.inc("service.breaker_transitions")
-
-    def _fabric_event(
-        self, event: str, experiment_id: Optional[str], detail: Dict[str, object]
-    ) -> None:
-        """Route fabric events (node deaths, per-node breaker moves)."""
-        if event == "breaker-transition":
-            self._journal_breaker_transition(
-                str(detail.get("breaker", "node")),
-                str(detail.get("from_state", "")),
-                str(detail.get("to_state", "")),
-                float(detail.get("t_wall", self.config.wall_clock())),
-            )
 
     # -- submission --------------------------------------------------
 
@@ -428,20 +379,6 @@ class CampaignService:
         """
         if self._draining.is_set():
             raise AdmissionClosed("service is draining")
-        if self.fabric is not None and self.fabric.live_node_count() == 0:
-            # Every worker node is dead and respawns are exhausted or
-            # in flight: accepting work we cannot run would hang the
-            # client; refuse with an honest retry estimate instead.
-            obs_metrics.inc("service.no_node_rejections")
-            raise AdmissionRejected(
-                "every worker node of the dispatch fabric is down "
-                f"({self.fabric.node_count()} registered, 0 live); "
-                "retry after the fabric respawns",
-                scope="service",
-                retry_after_seconds=max(
-                    1, int(self.fabric.config.no_node_grace_seconds)
-                ),
-            )
         if not experiments:
             raise ValueError("experiments must be a non-empty list")
         unknown = [e for e in experiments if e not in self.registry]
@@ -566,15 +503,6 @@ class CampaignService:
         if recovery is not None:
             journal.append("recovered", **recovery.to_dict())
         event_log = EventLog(store.events_path)
-        pool_factory = None
-        if self.fabric is not None:
-            from repro.service.dispatch import DispatchPool
-
-            fabric = self.fabric
-
-            def pool_factory(engine):
-                return DispatchPool(engine, fabric)
-
         engine = CachedCampaignEngine(
             self.registry,
             quick_overrides=self.quick_overrides,
@@ -590,7 +518,6 @@ class CampaignService:
             recovery=recovery,
             cache=self.cache,
             breaker=self.breaker,
-            pool_factory=pool_factory,
         )
         try:
             report = engine.run(submission.experiments)
@@ -656,8 +583,6 @@ class CampaignService:
         for thread in self._dispatchers:
             thread.join(timeout=timeout)
             clean = clean and not thread.is_alive()
-        if self.fabric is not None:
-            self.fabric.stop()
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
@@ -726,9 +651,6 @@ class CampaignService:
             "pending_total": self.admission.pending_total(),
             "breaker": self.breaker.describe(),
             "submissions": counts,
-            "nodes": (
-                self.fabric.describe() if self.fabric is not None else None
-            ),
         }
 
 
@@ -826,18 +748,7 @@ def _make_handler(service: CampaignService):
         def do_GET(self) -> None:  # noqa: N802 - http.server API
             path = self.path.rstrip("/") or "/"
             if path == "/healthz":
-                if service.fabric is None:
-                    self._send_json(200, {"ok": True})
-                    return
-                # Per-node liveness: healthy only while at least one
-                # worker node is alive to run campaigns.
-                fabric_state = service.fabric.describe()
-                ok = fabric_state["live"] > 0
-                self._send_json(
-                    200 if ok else 503,
-                    {"ok": ok, "nodes": fabric_state},
-                    headers=None if ok else {"Retry-After": "5"},
-                )
+                self._send_json(200, {"ok": True})
                 return
             if path == "/readyz":
                 if service.draining:

@@ -50,20 +50,6 @@ finding code                defect class
 ``journal-seq``             journal sequence numbers not increasing
 ``journal-missing``         checkpoints exist but no journal (warning:
                             a pre-journal run directory)
-``dispatch-torn``           torn record(s) at the dispatch WAL's tail
-                            (warning: the expected crash signature)
-``dispatch-corrupt``        damaged dispatch record before the tail,
-                            or a closure (complete/requeue/fence) for
-                            an assignment the WAL never opened
-``dispatch-schema``         dispatch WAL record violates the journal
-                            record schema
-``dispatch-orphan-assignment``  an assignment was dispatched but its
-                            attempt uid never completed, requeued, or
-                            fenced (warning: in-doubt work; resume
-                            re-dispatches the attempt)
-``dispatch-double-complete``  more than one ``dispatch-complete`` for
-                            one attempt uid — the exactly-once
-                            recording invariant is broken
 ``lease-stale``             a supervisor lease file left behind by a
                             dead owner (warning: reclaimed on resume)
 ``lease-schema``            lease file undecodable / violates schema
@@ -285,126 +271,6 @@ def validate_journal_file(path: Union[str, Path]) -> ValidationReport:
                     path=path.name,
                 )
             last_token = max(last_token, token)
-    return report
-
-
-#: Dispatch WAL record types that *open* an assignment (a hedge is a
-#: duplicate dispatch, so its record doubles as the opener) and the
-#: types that *close* one.
-_DISPATCH_OPENERS = ("dispatch-assign", "dispatch-hedge")
-_DISPATCH_CLOSERS = (
-    "dispatch-complete",
-    "dispatch-requeue",
-    "dispatch-fenced",
-)
-
-
-def validate_dispatch_file(path: Union[str, Path]) -> ValidationReport:
-    """Audit a dispatch-fabric assignment WAL (``dispatch.wal``).
-
-    Structural checks mirror :func:`validate_journal_file` (CRC
-    framing, record schema, sequence monotonicity) under ``dispatch-*``
-    codes, then the assignment state machine is replayed per
-    ``attempt_uid``:
-
-    - every closure (``dispatch-complete`` / ``dispatch-requeue`` /
-      ``dispatch-fenced``) must reference an assignment the WAL opened
-      (``dispatch-corrupt`` otherwise — tails tear, heads do not);
-    - at most one ``dispatch-complete`` per attempt uid — more is
-      ``dispatch-double-complete``, a broken exactly-once-recording
-      invariant (the whole point of fencing);
-    - an attempt uid that was assigned but never completed is
-      ``dispatch-orphan-assignment``, a *warning*: it is the expected
-      signature of a dispatcher that died mid-flight (resume simply
-      re-dispatches), not of storage damage.  A hedge loser needs no
-      closure record — its cancellation is silent by design — so only
-      uids with *zero* completions are flagged.
-    """
-    from repro.runtime.journal import read_journal
-
-    path = Path(path)
-    report = ValidationReport(subject=f"dispatch {path.name}")
-    if not path.is_file():
-        return report
-    replay = read_journal(path)
-    report.tick()
-    for lineno, reason in replay.corrupt:
-        report.add(
-            "dispatch-corrupt",
-            f"line {lineno} is damaged before the tail ({reason}); a "
-            "single-writer append discipline cannot produce this",
-            path=path.name,
-        )
-    if replay.torn_tail:
-        report.add(
-            "dispatch-torn",
-            "torn record(s) at the tail (crash signature; the dispatcher "
-            "truncates this on the next resume)",
-            path=path.name,
-            severity=SEVERITY_WARNING,
-        )
-    last_seq = 0
-    opened: Dict[str, str] = {}  # assignment_id -> attempt_uid
-    completes: Dict[str, int] = {}  # attempt_uid -> dispatch-complete count
-    assigned_uids: List[str] = []
-    for index, record in enumerate(replay.records):
-        report.tick()
-        for problem in check_schema(record, schema_for("journal-record")):
-            report.add(
-                "dispatch-schema",
-                f"record {index + 1}: {problem}",
-                path=path.name,
-            )
-        seq = record.get("seq")
-        if isinstance(seq, int):
-            if seq <= last_seq:
-                report.add(
-                    "dispatch-corrupt",
-                    f"record {index + 1}: seq {seq} does not increase "
-                    f"past {last_seq}",
-                    path=path.name,
-                )
-            last_seq = max(last_seq, seq)
-        record_type = record.get("type")
-        assignment_id = record.get("assignment_id")
-        uid = record.get("attempt_uid")
-        if not isinstance(assignment_id, str) or not isinstance(uid, str):
-            continue
-        if record_type in _DISPATCH_OPENERS:
-            opened[assignment_id] = uid
-            if uid not in assigned_uids:
-                assigned_uids.append(uid)
-        elif record_type in _DISPATCH_CLOSERS:
-            if assignment_id not in opened:
-                report.add(
-                    "dispatch-corrupt",
-                    f"record {index + 1}: {record_type} closes assignment "
-                    f"{assignment_id} that was never opened by a "
-                    "dispatch-assign/dispatch-hedge record (only the tail "
-                    "of an append-only WAL can tear, never the head)",
-                    path=path.name,
-                )
-            if record_type == "dispatch-complete":
-                completes[uid] = completes.get(uid, 0) + 1
-    for uid, count in sorted(completes.items()):
-        if count > 1:
-            report.add(
-                "dispatch-double-complete",
-                f"attempt {uid} recorded {count} dispatch-complete "
-                "records; completion must be exactly-once (a stale or "
-                "hedged duplicate slipped past the fence)",
-                path=path.name,
-            )
-    for uid in assigned_uids:
-        if completes.get(uid, 0) == 0:
-            report.add(
-                "dispatch-orphan-assignment",
-                f"attempt {uid} was assigned but never completed "
-                "(in-doubt dispatch; the crash signature of a dispatcher "
-                "killed mid-flight — resume re-dispatches it)",
-                path=path.name,
-                severity=SEVERITY_WARNING,
-            )
     return report
 
 
@@ -1161,9 +1027,6 @@ def validate_run_dir(
             severity=SEVERITY_WARNING,
         )
     report.extend(validate_lease_file(run_dir / "supervisor.lease"))
-
-    # -- dispatch fabric WAL (only written by --nodes campaigns) ------
-    report.extend(validate_dispatch_file(run_dir / "dispatch.wal"))
 
     # -- observability artifacts --------------------------------------
     report.extend(validate_spans_file(run_dir / "spans.jsonl"))

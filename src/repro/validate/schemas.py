@@ -242,11 +242,6 @@ JOURNAL_RECORD_SCHEMA: Dict[str, object] = {
                 "submission-done",
                 "shard-sealed",
                 "sim-checkpoint",
-                "dispatch-assign",
-                "dispatch-complete",
-                "dispatch-requeue",
-                "dispatch-hedge",
-                "dispatch-fenced",
                 "breaker-transition",
             ],
         },
@@ -254,10 +249,6 @@ JOURNAL_RECORD_SCHEMA: Dict[str, object] = {
         "attempt": {"type": "integer", "minimum": 1},
         "attempt_uid": {"type": "string"},
         "status": {"type": "string"},
-        "assignment_id": {"type": "string"},
-        "node_id": {"type": "string"},
-        "node_token": {"type": "integer", "minimum": 0},
-        "reason": {"type": "string"},
         "breaker": {"type": "string"},
         "from_state": {"type": "string"},
         "to_state": {"type": "string"},

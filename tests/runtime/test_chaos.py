@@ -164,51 +164,3 @@ def test_small_real_streamed_chaos_campaign(tmp_path):
     assert io_kill and io_kill[0].detail, "no streamed fault was planted"
     site = io_kill[0].detail.split(":")[0]
     assert site in ("shard", "simckpt")
-
-
-class TestNodeFaultDirectives:
-    def test_seeded_and_incarnation_qualified(self):
-        import random
-
-        from repro.runtime.chaos import _node_fault_directives
-
-        a, _ = _node_fault_directives(random.Random(1), 3, "node-kill", 2.0)
-        b, _ = _node_fault_directives(random.Random(1), 3, "node-kill", 2.0)
-        assert a == b  # pure function of the seed
-        for part in a.split(","):
-            target, fault = part.split(":", 1)
-            assert target.endswith("#1")  # only incarnation 1 is targeted
-            assert fault.startswith("kill@")
-
-    def test_partition_directive_outlasts_heartbeat_ttl(self):
-        import random
-
-        from repro.runtime.chaos import _node_fault_directives
-
-        directive, kills = _node_fault_directives(
-            random.Random(5), 3, "node-partition", 2.0
-        )
-        assert kills == 0
-        assert ":partition@" in directive
-        duration = float(directive.rsplit("+", 1)[1])
-        assert duration > 3.0  # must exceed the default TTL to matter
-
-    def test_kill_count_leaves_a_survivor(self):
-        import random
-
-        from repro.runtime.chaos import _node_fault_directives
-
-        for seed in range(20):
-            directive, kills = _node_fault_directives(
-                random.Random(seed), 3, "node-kill", 2.0
-            )
-            assert 1 <= kills <= 2  # never all three nodes
-            assert kills == len(directive.split(","))
-
-    def test_node_chaos_requires_subprocess_jobs(self):
-        import pytest
-
-        from repro.runtime.chaos import run_chaos
-
-        with pytest.raises(ValueError, match="jobs"):
-            run_chaos(cycles=1, nodes=2, jobs=0)

@@ -38,8 +38,6 @@ Usage::
                                       # live per-experiment state/ETA
     python -m repro.experiments report runs/full --html -o report.html
                                       # static post-hoc campaign report
-    python -m repro.experiments serve runs/service --quick
-                                      # multi-tenant campaign service
     python -m repro.experiments --quick --run-dir runs/q \
         --archive perf-archive.jsonl  # append an attributed perf row
     python -m repro.experiments trends perf-archive.jsonl
@@ -439,21 +437,9 @@ def validate_command(argv: List[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    from pathlib import Path as _Path
+    from repro.validate.artifacts import validate_run_dir
 
-    from repro.validate.artifacts import (
-        is_service_root,
-        validate_cache_dir,
-        validate_run_dir,
-        validate_service_root,
-    )
-
-    if is_service_root(args.run_dir):
-        report = validate_service_root(args.run_dir, deep=not args.shallow)
-    elif (_Path(args.run_dir) / "objects").is_dir():
-        report = validate_cache_dir(args.run_dir)
-    else:
-        report = validate_run_dir(args.run_dir, deep=not args.shallow)
+    report = validate_run_dir(args.run_dir, deep=not args.shallow)
     if args.json:
         import json
 
@@ -619,37 +605,8 @@ def chaos_module_defaults() -> List[str]:
 
 
 def verify_store_command(run_dir: str) -> int:
-    """``--verify-store DIR``: checksum every checkpoint envelope.
-
-    Understands three layouts: a plain campaign run directory, a
-    content-addressed cache root (an ``objects/`` directory of entry
-    envelopes), and a whole service root (``campaigns/<tenant>/<id>/``
-    run dirs plus a ``cache/``) — every store found under DIR is
-    verified and the findings are merged.
-    """
-    from pathlib import Path
-
-    from repro.service.cache import OBJECTS_DIRNAME, ResultCache
-    from repro.service.http import CACHE_DIRNAME, CAMPAIGNS_DIRNAME
-
-    root = Path(run_dir)
-    problems: Dict[str, str] = {}
-    campaigns_dir = root / CAMPAIGNS_DIRNAME
-    if campaigns_dir.is_dir():
-        # Service root: verify every per-campaign run dir.
-        for campaign_dir in sorted(campaigns_dir.glob("*/*")):
-            if not campaign_dir.is_dir():
-                continue
-            for rel, message in CheckpointStore(campaign_dir).verify_all().items():
-                problems[str(campaign_dir.relative_to(root) / rel)] = message
-    else:
-        problems.update(CheckpointStore(run_dir).verify_all())
-    for cache_root in (root / CACHE_DIRNAME, root):
-        if (cache_root / OBJECTS_DIRNAME).is_dir():
-            for rel, message in ResultCache(cache_root).verify_all().items():
-                prefix = cache_root.relative_to(root)
-                problems[str(prefix / rel) if str(prefix) != "." else rel] = message
-            break
+    """``--verify-store DIR``: checksum every checkpoint envelope."""
+    problems = CheckpointStore(run_dir).verify_all()
     if not problems:
         print(f"store {run_dir}: every envelope verified")
         return 0
@@ -657,131 +614,6 @@ def verify_store_command(run_dir: str) -> int:
     for rel_path, message in sorted(problems.items()):
         print(f"  {rel_path}: {message}")
     return 1
-
-
-def serve_command(argv: List[str]) -> int:
-    """``python -m repro.experiments serve <root>``.
-
-    Run the multi-tenant campaign service (see ``docs/SERVICE.md``):
-    an HTTP/JSON API over the full experiment registry with per-tenant
-    bounded admission queues, a shared content-addressed result cache,
-    a circuit breaker around the worker pool, and crash-consistent
-    graceful drain on SIGTERM/SIGINT.  Exit 0 on a clean drain, 1 when
-    the drain timed out with work still running, 2 on usage errors.
-    """
-    import signal
-    import threading
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments serve",
-        description="Serve the experiment campaign API over HTTP.",
-    )
-    parser.add_argument(
-        "root", metavar="ROOT",
-        help="service root directory (cache, WAL, per-campaign run dirs)",
-    )
-    parser.add_argument("--host", default="127.0.0.1", metavar="ADDR")
-    parser.add_argument(
-        "--port", type=int, default=0, metavar="PORT",
-        help="0 picks an ephemeral port, recorded in ROOT/service.json "
-        "(default: 0)",
-    )
-    parser.add_argument(
-        "--queue-capacity", type=int, default=8, metavar="N",
-        help="queued submissions per tenant before 429 (default: 8)",
-    )
-    parser.add_argument(
-        "--max-queued", type=int, default=64, metavar="N",
-        help="queued submissions across all tenants before 503 (default: 64)",
-    )
-    parser.add_argument(
-        "--dispatchers", type=int, default=1, metavar="N",
-        help="concurrent campaign dispatch threads (default: 1)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=0, metavar="N",
-        help="engine --jobs per campaign; 0 = in-process (default: 0)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="force every campaign to the quick parameterization",
-    )
-    parser.add_argument(
-        "--max-attempts", type=int, default=3, metavar="N",
-        help="attempts per experiment (default: 3)",
-    )
-    parser.add_argument(
-        "--default-deadline-seconds", type=float, default=None, metavar="S",
-        help="deadline for submissions that name none (default: none)",
-    )
-    parser.add_argument(
-        "--breaker-threshold", type=int, default=3, metavar="N",
-        help="consecutive worker failures that trip the breaker (default: 3)",
-    )
-    parser.add_argument(
-        "--breaker-cooldown-seconds", type=float, default=30.0, metavar="S",
-        help="open-state cooldown before the half-open probe (default: 30)",
-    )
-    parser.add_argument(
-        "--drain-timeout-seconds", type=float, default=None, metavar="S",
-        help="how long the drain waits for in-flight campaigns "
-        "(default: unbounded)",
-    )
-    parser.add_argument("--quiet", action="store_true")
-    parser.add_argument("--no-obs", action="store_true", dest="no_obs")
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.queue_capacity < 1 or args.max_queued < args.queue_capacity:
-        print("--max-queued must be >= --queue-capacity >= 1")
-        return 2
-
-    from repro.service.http import CampaignService, ServiceConfig
-
-    if args.quiet:
-        console.set_quiet(True)
-    install_from_env()
-    obs_metrics.set_obs_enabled(not args.no_obs)
-    if obs_metrics.obs_enabled():
-        obs_metrics.get_registry().reset()
-
-    try:
-        config = ServiceConfig(
-            host=args.host,
-            port=args.port,
-            queue_capacity=args.queue_capacity,
-            max_queued=args.max_queued,
-            dispatchers=args.dispatchers,
-            jobs=args.jobs,
-            quick=args.quick,
-            max_attempts=args.max_attempts,
-            default_deadline_seconds=args.default_deadline_seconds,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown_seconds=args.breaker_cooldown_seconds,
-        )
-    except ValueError as exc:
-        print(f"serve: {exc}")
-        return 2
-    service = CampaignService(
-        args.root, EXPERIMENTS, quick_overrides=QUICK_OVERRIDES, config=config
-    )
-
-    stop = threading.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, lambda *_: stop.set())
-    try:
-        service.start()
-    except (LeaseHeldError, JournalCorruptError) as exc:
-        print(f"serve: {exc}")
-        return 1
-    host, port = service.address
-    console.info(f"[service listening on http://{host}:{port} — root {args.root}]")
-    stop.wait()
-    console.info("[drain: admissions closed; finishing in-flight campaigns]")
-    clean = service.drain(timeout=args.drain_timeout_seconds)
-    console.info("[drain complete]" if clean else "[drain timed out]")
-    return 0 if clean else 1
 
 
 def status_command(argv: List[str]) -> int:
@@ -832,36 +664,7 @@ def status_command(argv: List[str]) -> int:
         print(f"status: {args.run_dir} is not a directory")
         return 2
 
-    from repro.obs.status import (
-        load_service_status,
-        load_status,
-        render_service_status,
-        render_status,
-    )
-    from repro.validate.artifacts import is_service_root
-
-    if is_service_root(args.run_dir):
-        # Multi-tenant service root: render the tenant/cache/breaker
-        # rollup instead of the single-campaign view.
-        try:
-            while True:
-                rollup = load_service_status(args.run_dir)
-                if args.json:
-                    import json
-
-                    print(json.dumps(rollup, indent=1, sort_keys=True))
-                else:
-                    print(render_service_status(rollup))
-                busy = rollup["queue_depth_total"] or any(
-                    c["state"] == "running" for c in rollup["campaigns"]
-                )
-                if not args.follow or not busy:
-                    return 0
-                _time.sleep(args.interval)
-                print()
-        except BrokenPipeError:
-            sys.stderr.close()
-            return 0
+    from repro.obs.status import load_status, render_status
 
     try:
         while True:
@@ -926,24 +729,9 @@ def report_command(argv: List[str]) -> int:
         print(f"report: {args.run_dir} is not a directory")
         return 2
 
-    from repro.obs.report import (
-        render_report,
-        render_report_html,
-        render_service_report,
-        render_service_report_html,
-        report_to_json,
-        service_report_to_json,
-    )
-    from repro.validate.artifacts import is_service_root
+    from repro.obs.report import render_report, render_report_html, report_to_json
 
-    if is_service_root(args.run_dir):
-        if args.json:
-            text = service_report_to_json(args.run_dir)
-        elif args.html:
-            text = render_service_report_html(args.run_dir)
-        else:
-            text = render_service_report(args.run_dir)
-    elif args.json:
+    if args.json:
         text = report_to_json(args.run_dir)
     elif args.html:
         text = render_report_html(args.run_dir)
@@ -1053,7 +841,6 @@ SUBCOMMANDS = {
     "chaos": chaos_command,
     "status": status_command,
     "report": report_command,
-    "serve": serve_command,
     "trends": trends_command,
 }
 

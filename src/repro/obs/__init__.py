@@ -8,8 +8,8 @@ for campaigns:
 - :mod:`repro.obs.metrics` — a process-local registry of counters,
   gauges and fixed-bucket histograms with an overhead-gated sampling
   hook for the simulation hot loops (refs simulated, misses, refs/sec).
-  Snapshotted to ``<run_dir>/metrics.json`` per attempt and exportable
-  in Prometheus text format.
+  Snapshotted to ``<run_dir>/metrics.json`` per attempt and rolled up
+  per campaign.
 - :mod:`repro.obs.tracing` — spans (trace/span/parent ids, monotonic
   durations) as context managers and decorators, written to
   ``<run_dir>/spans.jsonl`` with a Chrome trace-event export for

@@ -185,36 +185,6 @@ def load_metrics_snapshot(
     return payload
 
 
-#: Breaker-transition history is bounded: only the most recent entries
-#: survive into the status payload (a long chaos run can flap a lot).
-BREAKER_HISTORY_LIMIT = 20
-
-
-def _breaker_transitions_from_records(
-    records: List[Dict[str, object]]
-) -> List[Dict[str, object]]:
-    """Normalise service-WAL ``breaker-transition`` records into
-    ``{breaker, from_state, to_state, at_wall}`` history entries."""
-    history: List[Dict[str, object]] = []
-    for record in records:
-        old = record.get("from_state")
-        new = record.get("to_state")
-        if not isinstance(old, str) or not isinstance(new, str):
-            continue
-        wall = record.get("at_wall")
-        history.append(
-            {
-                "breaker": str(record.get("breaker") or "service"),
-                "from_state": old,
-                "to_state": new,
-                "at_wall": float(wall)
-                if isinstance(wall, (int, float))
-                else None,
-            }
-        )
-    return history[-BREAKER_HISTORY_LIMIT:]
-
-
 def _throughput_from_metrics(
     snapshot: Optional[Dict[str, object]]
 ) -> tuple:
@@ -526,27 +496,6 @@ def _format_seconds(value: Optional[float]) -> str:
     return f"{int(hours)}h{int(minutes):02d}m"
 
 
-def _format_wall(value: Optional[float]) -> str:
-    if value is None:
-        return "-"
-    return time.strftime("%H:%M:%S", time.localtime(value))
-
-
-def _render_breaker_history(
-    transitions: List[Dict[str, object]]
-) -> List[str]:
-    if not transitions:
-        return []
-    lines = ["breaker transitions:"]
-    for entry in transitions:
-        lines.append(
-            f"  {_format_wall(entry.get('at_wall'))}  "
-            f"{entry.get('breaker')}: "
-            f"{entry.get('from_state')} -> {entry.get('to_state')}"
-        )
-    return lines
-
-
 def render_status(status: CampaignStatus) -> str:
     """Terminal rendering of one :class:`CampaignStatus`."""
     lines = [f"== campaign status: {status.run_dir} =="]
@@ -636,173 +585,4 @@ def render_status(status: CampaignStatus) -> str:
             )
     for note in status.notes:
         lines.append(f"note: {note}")
-    return "\n".join(lines)
-
-
-# -- multi-tenant service rollup -------------------------------------------
-
-
-def load_service_status(root: Union[str, Path]) -> Dict[str, object]:
-    """Roll up a multi-tenant service root (read-only).
-
-    A service root (``python -m repro.experiments serve <root>``) holds
-    per-campaign run directories under ``campaigns/<tenant>/<id>/``,
-    a shared cache, a service WAL, and a root ``metrics.json``.  The
-    rollup reports, per tenant, campaign counts by state and queue
-    depth (from the ``service.queue.depth.<tenant>`` gauges), plus the
-    cache hit ratio, circuit-breaker state, breaker state-machine
-    history (``breaker-transition`` records replayed from the service
-    WAL).  All reconstructed from artifacts, never by talking to the
-    service.
-    Tolerant of missing or damaged files, like :func:`load_status`.
-    """
-    from repro.runtime.journal import read_journal
-
-    root = Path(root)
-    snapshot = load_metrics_snapshot(root)
-    counters: Dict[str, object] = {}
-    gauges: Dict[str, object] = {}
-    if snapshot is not None:
-        campaign = snapshot.get("campaign")
-        if isinstance(campaign, dict):
-            if isinstance(campaign.get("counters"), dict):
-                counters = campaign["counters"]
-            if isinstance(campaign.get("gauges"), dict):
-                gauges = campaign["gauges"]
-
-    tenants: Dict[str, Dict[str, object]] = {}
-    campaigns: List[Dict[str, object]] = []
-    campaigns_dir = root / "campaigns"
-    if campaigns_dir.is_dir():
-        for tenant_dir in sorted(p for p in campaigns_dir.iterdir() if p.is_dir()):
-            tenant = tenant_dir.name
-            entry = tenants.setdefault(
-                tenant,
-                {"campaigns": 0, "states": {}, "queue_depth": 0},
-            )
-            for campaign_dir in sorted(p for p in tenant_dir.iterdir() if p.is_dir()):
-                status = load_status(campaign_dir)
-                entry["campaigns"] += 1
-                states: Dict[str, int] = entry["states"]  # type: ignore[assignment]
-                states[status.state] = states.get(status.state, 0) + 1
-                campaigns.append(
-                    {
-                        "tenant": tenant,
-                        "campaign_id": campaign_dir.name,
-                        "state": status.state,
-                        "counts": status.counts(),
-                        "requested": len(status.requested),
-                    }
-                )
-    for name, value in gauges.items():
-        prefix = "service.queue.depth."
-        if name.startswith(prefix) and isinstance(value, (int, float)):
-            tenant = name[len(prefix):]
-            tenants.setdefault(
-                tenant, {"campaigns": 0, "states": {}, "queue_depth": 0}
-            )["queue_depth"] = int(value)
-
-    def _count(name: str) -> int:
-        value = counters.get(name)
-        return int(value) if isinstance(value, (int, float)) else 0
-
-    hits = _count("service.cache.hits")
-    misses = _count("service.cache.misses")
-    lookups = hits + misses
-    breaker_gauge = gauges.get("service.breaker.state")
-    breaker_state = None
-    if isinstance(breaker_gauge, (int, float)):
-        breaker_state = {0: "closed", 1: "half-open", 2: "open"}.get(
-            int(breaker_gauge), f"unknown({int(breaker_gauge)})"
-        )
-    # Breaker state-machine history: the service journals every
-    # transition as a ``breaker-transition`` WAL record; replay is
-    # tolerant of a torn tail, matching the read-only contract of this
-    # function.
-    replay = read_journal(root / "service.wal")
-    breaker_transitions = _breaker_transitions_from_records(
-        [
-            r
-            for r in replay.records
-            if r.get("type") == "breaker-transition"
-        ]
-    )
-    return {
-        "root": str(root),
-        "tenants": tenants,
-        "campaigns": campaigns,
-        "queue_depth_total": int(gauges.get("service.queue.depth_total", 0))
-        if isinstance(gauges.get("service.queue.depth_total"), (int, float))
-        else 0,
-        "cache": {
-            "hits": hits,
-            "misses": misses,
-            "hit_ratio": (hits / lookups) if lookups else None,
-            "quarantined": _count("service.cache.quarantined"),
-            "entries": int(gauges.get("service.cache.entries", 0))
-            if isinstance(gauges.get("service.cache.entries"), (int, float))
-            else 0,
-        },
-        "breaker_state": breaker_state,
-        "breaker_transitions": breaker_transitions,
-        "submissions": {
-            "accepted": _count("service.admission.accepted"),
-            "rejected_tenant": _count("service.admission.rejected_tenant"),
-            "rejected_service": _count("service.admission.rejected_service"),
-        },
-    }
-
-
-def render_service_status(rollup: Dict[str, object]) -> str:
-    """Terminal rendering of a :func:`load_service_status` rollup."""
-    lines = [f"== service status: {rollup.get('root')} =="]
-    cache = rollup.get("cache") or {}
-    ratio = cache.get("hit_ratio")
-    ratio_text = "-" if ratio is None else f"{100.0 * float(ratio):.0f}%"
-    lines.append(
-        f"cache: {cache.get('entries', 0)} entr"
-        f"{'y' if cache.get('entries') == 1 else 'ies'}, "
-        f"{cache.get('hits', 0)} hit(s) / {cache.get('misses', 0)} miss(es) "
-        f"(hit ratio {ratio_text}), "
-        f"{cache.get('quarantined', 0)} quarantined"
-    )
-    breaker = rollup.get("breaker_state")
-    if breaker is not None:
-        lines.append(f"breaker: {breaker}")
-    transitions = rollup.get("breaker_transitions")
-    if isinstance(transitions, list) and transitions:
-        lines.extend(_render_breaker_history(transitions))
-    submissions = rollup.get("submissions") or {}
-    lines.append(
-        f"admission: {submissions.get('accepted', 0)} accepted, "
-        f"{submissions.get('rejected_tenant', 0)} refused (tenant queue), "
-        f"{submissions.get('rejected_service', 0)} refused (service full); "
-        f"{rollup.get('queue_depth_total', 0)} queued now"
-    )
-    tenants = rollup.get("tenants") or {}
-    if tenants:
-        lines.append("")
-        lines.append(f"  {'tenant':<20} {'campaigns':>9} {'queued':>7}  states")
-        for tenant in sorted(tenants):
-            entry = tenants[tenant]
-            states = entry.get("states") or {}
-            state_text = (
-                ", ".join(f"{k}:{v}" for k, v in sorted(states.items())) or "-"
-            )
-            lines.append(
-                f"  {tenant:<20} {entry.get('campaigns', 0):>9} "
-                f"{entry.get('queue_depth', 0):>7}  {state_text}"
-            )
-    campaigns = rollup.get("campaigns") or []
-    if campaigns:
-        lines.append("")
-        lines.append(f"  {'campaign':<34} {'state':<12} ok/deg/fail")
-        for item in campaigns:
-            counts = item.get("counts") or {}
-            lines.append(
-                f"  {item.get('tenant')}/{item.get('campaign_id'):<26} "
-                f"{item.get('state'):<12} "
-                f"{counts.get(STATE_OK, 0)}/{counts.get(STATE_DEGRADED, 0)}"
-                f"/{counts.get(STATE_FAILED, 0)}"
-            )
     return "\n".join(lines)

@@ -16,7 +16,7 @@ active matrix).  This module adds the time axis:
   accumulated per-phase miss vectors.
 - ``mem.ws.*`` gauges and ``obs.timeline.*`` counters surface the live
   phase/knee state through the ordinary metrics registry (and from
-  there the Prometheus renderer and the service ``/metrics`` endpoint).
+  there ``metrics.json``).
 
 Recording is ambient, like the kernel and streaming configuration:
 :func:`configure_timeline` installs a process-wide recorder and

@@ -59,7 +59,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.obs import metrics as obs_metrics
 from repro.runtime.errors import JournalCorruptError
@@ -71,18 +71,13 @@ JOURNAL_FILENAME = "journal.wal"
 #: Line magic; bumped if the framing ever changes.
 JOURNAL_MAGIC = "WAL1"
 
-#: Record types the engine writes (validated by the journal schema).
-#: ``cache-hit`` and the ``submission-*`` pair belong to
-#: :mod:`repro.service` (``cache-hit`` marks an experiment committed
-#: from the content-addressed cache instead of an attempt; the
-#: ``submission-*`` pair frames the service-level WAL around each
-#: accepted campaign submission).  ``shard-sealed`` and
-#: ``sim-checkpoint`` belong to the streaming trace substrate
-#: (:mod:`repro.mem.shards` / :mod:`repro.mem.streamsim`): one per
-#: sealed trace shard (``shards.wal`` inside a ``.trd`` directory) and
-#: one per simulator snapshot (``<key>.ckpt.wal``).
-#: ``breaker-transition`` records the service circuit breaker's state
-#: changes in the service WAL.
+#: Every record type any journal holds; ``JOURNAL_RECORD_SCHEMA`` in
+#: :mod:`repro.validate.schemas` builds its enum from this tuple.  The
+#: first seven frame a campaign in ``<run_dir>/journal.wal``.
+#: ``shard-sealed`` and ``sim-checkpoint`` belong to the streaming trace
+#: substrate (:mod:`repro.mem.shards` / :mod:`repro.mem.streamsim`): one
+#: per sealed trace shard (``shards.wal`` inside a ``.trd`` directory)
+#: and one per simulator snapshot (``<key>.ckpt.wal``).
 RECORD_TYPES = (
     "campaign-start",
     "attempt-start",
@@ -91,12 +86,8 @@ RECORD_TYPES = (
     "summary-flushed",
     "interrupted",
     "recovered",
-    "cache-hit",
-    "submission-accepted",
-    "submission-done",
     "shard-sealed",
     "sim-checkpoint",
-    "breaker-transition",
 )
 
 #: ``attempt-end`` statuses that commit an experiment.
@@ -135,7 +126,6 @@ class Journal:
             can bump it.
         fsync: fsync the journal fd after every record (the default;
             disable only in throughput tests).
-        wall_clock: Injectable time source.
     """
 
     def __init__(
@@ -143,12 +133,10 @@ class Journal:
         path: Union[str, Path],
         token: int = 0,
         fsync: bool = True,
-        wall_clock: Callable[[], float] = time.time,
     ) -> None:
         self.path = Path(path)
         self.token = token
         self.fsync = fsync
-        self._wall_clock = wall_clock
         self._fd: Optional[int] = None
         self._seq = 0
         import threading
@@ -190,7 +178,7 @@ class Journal:
             record: Dict[str, object] = {
                 "seq": self._seq,
                 "token": self.token,
-                "t_wall": self._wall_clock(),
+                "t_wall": time.time(),
                 "type": record_type,
             }
             for key, value in fields.items():

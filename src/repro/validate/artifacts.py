@@ -69,18 +69,6 @@ finding code                defect class
                             the snapshot schema
 ``metrics-dangling-id``     metrics snapshot records telemetry for an
                             attempt uid the journal/events never saw
-``cache-entry-corrupt``     cache entry envelope fails its checksum,
-                            format, or the cache-entry schema
-``cache-key-mismatch``      entry's filename, stored key, and the key
-                            recomputed from its (app, params, code)
-                            triple do not all agree
-``cache-dangling-entry``    cache manifest indexes a key with no valid
-                            entry on disk
-``cache-unindexed-entry``   valid entry the manifest never indexed
-                            (warning: the manifest is an index, the
-                            entries are the truth)
-``cache-quarantined``       quarantined entries present (warning:
-                            forensic leftovers of served corruption)
 ``kernel-divergence-bundle``  a vectorized-kernel divergence repro
                             bundle under ``kernel-bundles/`` (warning:
                             results are oracle-correct, the fast path
@@ -94,11 +82,6 @@ finding code                defect class
                             oracle fallback computed the results)
 ``result-*`` / ``curve-*``  invariant-oracle findings on stored results
 ==========================  =============================================
-
-:func:`validate_cache_dir` audits a content-addressed result cache
-(:mod:`repro.service.cache`), and :func:`validate_service_root` audits
-a whole multi-tenant service root — every per-campaign run directory,
-the service WAL, the service lease, and the shared cache.
 
 Everything is read-only; validation never mutates a run directory.
 """
@@ -704,183 +687,6 @@ def validate_archive_file(path: Union[str, Path]) -> ValidationReport:
                 path=path.name,
             )
     return report
-
-
-def validate_cache_dir(cache_root: Union[str, Path]) -> ValidationReport:
-    """Audit a content-addressed result cache (read-only).
-
-    Every entry under ``objects/`` is re-verified exactly as the
-    serving path would (envelope format, payload SHA-256, cache-entry
-    schema, filename/stored/recomputed key agreement) — but without
-    quarantining anything; findings use ``cache-entry-corrupt`` and
-    ``cache-key-mismatch``.  The manifest index is schema-checked and
-    cross-checked against the entries both ways: an indexed key with
-    no valid entry is ``cache-dangling-entry`` (error — a hit the
-    index promises but the store cannot serve), a valid entry the
-    index missed is ``cache-unindexed-entry`` (warning — the entries
-    are the truth, the index merely accelerates listing).
-    """
-    from repro.service.cache import (
-        MANIFEST_FILENAME,
-        ResultCache,
-        verify_entry_envelope,
-    )
-
-    cache_root = Path(cache_root)
-    report = ValidationReport(subject=f"cache {cache_root}")
-    if not cache_root.is_dir():
-        report.add("cache-missing", f"{cache_root} is not a directory")
-        return report
-    cache = ResultCache(cache_root)
-
-    valid_keys: Dict[str, str] = {}  # key -> rel path
-    if cache.objects_dir.is_dir():
-        for path in sorted(cache.objects_dir.rglob("*.json")):
-            rel = str(path.relative_to(cache_root))
-            report.tick()
-            try:
-                envelope = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                report.add(
-                    "cache-entry-corrupt", f"undecodable: {exc}", path=rel
-                )
-                continue
-            problem = verify_entry_envelope(path.stem, envelope)
-            if problem is not None:
-                # The verifier's integrity message also says
-                # "recomputed" (about the sha256), so match the two
-                # key-disagreement messages precisely.
-                code = (
-                    "cache-key-mismatch"
-                    if "does not recompute" in problem
-                    or "filed under" in problem
-                    else "cache-entry-corrupt"
-                )
-                report.add(code, problem, path=rel)
-                continue
-            valid_keys[path.stem] = rel
-
-    manifest = cache.read_manifest()
-    if cache.manifest_path.is_file():
-        report.tick()
-        if manifest is None:
-            report.add(
-                "cache-manifest-schema",
-                "cache-manifest.json exists but is undecodable",
-                path=MANIFEST_FILENAME,
-            )
-        elif _schema_findings(
-            report,
-            manifest,
-            "cache-manifest",
-            "cache-manifest-schema",
-            MANIFEST_FILENAME,
-        ):
-            indexed = manifest.get("entries", {})
-            for key in sorted(indexed):
-                report.tick()
-                if key not in valid_keys:
-                    report.add(
-                        "cache-dangling-entry",
-                        f"manifest indexes key {key[:12]}… but objects/ "
-                        "holds no valid entry for it",
-                        path=MANIFEST_FILENAME,
-                    )
-            for key, rel in sorted(valid_keys.items()):
-                report.tick()
-                if key not in indexed:
-                    report.add(
-                        "cache-unindexed-entry",
-                        f"valid entry {key[:12]}… is not in the manifest "
-                        "index (lookups still work; listing is incomplete)",
-                        path=rel,
-                        severity=SEVERITY_WARNING,
-                    )
-    elif valid_keys:
-        report.add(
-            "cache-manifest-schema",
-            "entries exist but there is no cache-manifest.json index",
-            severity=SEVERITY_WARNING,
-        )
-
-    if cache.quarantine_dir.is_dir():
-        quarantined = [
-            p
-            for p in cache.quarantine_dir.iterdir()
-            if p.is_file() and not p.name.endswith(".reason")
-        ]
-        report.tick()
-        if quarantined:
-            report.add(
-                "cache-quarantined",
-                f"{len(quarantined)} quarantined entr"
-                f"{'y' if len(quarantined) == 1 else 'ies'} present "
-                "(corruption was detected and evicted; forensics under "
-                "quarantine/)",
-                path="quarantine",
-                severity=SEVERITY_WARNING,
-            )
-    return report
-
-
-def _merge_prefixed(
-    report: ValidationReport, other: ValidationReport, prefix: str
-) -> None:
-    """Merge ``other`` into ``report``, prefixing every finding path."""
-    report.tick(other.checks_run)
-    for finding in other.findings:
-        path = f"{prefix}/{finding.path}" if finding.path else prefix
-        report.findings.append(dataclasses.replace(finding, path=path))
-
-
-def validate_service_root(
-    root: Union[str, Path], deep: bool = True
-) -> ValidationReport:
-    """Validate a whole multi-tenant service root.
-
-    Audits every per-campaign run directory under
-    ``campaigns/<tenant>/<id>/`` with :func:`validate_run_dir`, the
-    service-level WAL (``service.wal``) with the journal auditor, any
-    leftover service lease, and the shared content-addressed cache
-    with :func:`validate_cache_dir`, merging all findings with
-    path prefixes that name the offending tenant and campaign.
-    """
-    root = Path(root)
-    report = ValidationReport(subject=f"service-root {root}")
-    if not root.is_dir():
-        report.add("run-dir-missing", f"{root} is not a directory")
-        return report
-
-    campaigns_dir = root / "campaigns"
-    if campaigns_dir.is_dir():
-        for campaign_dir in sorted(campaigns_dir.glob("*/*")):
-            if not campaign_dir.is_dir():
-                continue
-            _merge_prefixed(
-                report,
-                validate_run_dir(campaign_dir, deep=deep),
-                str(campaign_dir.relative_to(root)),
-            )
-
-    wal_path = root / "service.wal"
-    if wal_path.is_file():
-        report.extend(validate_journal_file(wal_path))
-    report.extend(validate_lease_file(root / "supervisor.lease"))
-
-    cache_root = root / "cache"
-    if cache_root.is_dir():
-        _merge_prefixed(report, validate_cache_dir(cache_root), "cache")
-
-    report.extend(
-        validate_metrics_file(root / "metrics.json", known_uids=None)
-    )
-    return report
-
-
-def is_service_root(path: Union[str, Path]) -> bool:
-    """Does ``path`` look like a service root rather than a run dir?"""
-    path = Path(path)
-    return (path / "campaigns").is_dir() or (path / "service.wal").is_file()
 
 
 def validate_run_dir(

@@ -259,13 +259,19 @@ class TestDurabilityCLI:
     [
         ["--quick", "--jobs", "1", "table1"],
         ["chaos"],
-        ["serve", "ROOT"],
     ],
-    ids=["campaign", "chaos", "serve"],
+    ids=["campaign", "chaos"],
 )
-def test_nodes_flag_is_rejected(argv, tmp_path, capsys):
+def test_nodes_flag_is_rejected(argv, capsys):
     """No command takes --nodes: old scripts fail loudly, never silently
     run on the worker pool."""
-    argv = [str(tmp_path / "root") if a == "ROOT" else a for a in argv]
     assert main(argv + ["--nodes", "2"]) == 2
     assert "unrecognized arguments: --nodes 2" in capsys.readouterr().err
+
+
+def test_serve_is_an_unknown_experiment(tmp_path, capsys):
+    """There is no HTTP service: ``serve`` parses as an experiment id
+    and is refused like any other unknown one."""
+    assert main(["serve", str(tmp_path / "root")]) == 2
+    assert "unknown experiments" in capsys.readouterr().out
+    assert not (tmp_path / "root").exists()

@@ -10,7 +10,6 @@ from repro.obs.metrics import (
     Histogram,
     LoopSampler,
     MetricsRegistry,
-    render_prometheus,
 )
 from repro.runtime.budget import CHECK_INTERVAL
 
@@ -74,27 +73,6 @@ class TestRegistry:
         reg.counter("c").inc()
         reg.reset()
         assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def test_prometheus_rendering(self):
-        reg = MetricsRegistry()
-        reg.counter("mem.fullassoc.refs").inc(100)
-        reg.gauge("engine.jobs").set(4)
-        h = reg.histogram("runtime.fsync_seconds", (0.1, 1.0))
-        h.observe(0.05)
-        h.observe(0.5)
-        h.observe(5.0)
-        text = reg.to_prometheus()
-        assert "# TYPE repro_mem_fullassoc_refs counter" in text
-        assert "repro_mem_fullassoc_refs 100" in text
-        assert "# TYPE repro_engine_jobs gauge" in text
-        # Buckets are cumulative, with an explicit +Inf slot.
-        assert 'repro_runtime_fsync_seconds_bucket{le="0.1"} 1' in text
-        assert 'repro_runtime_fsync_seconds_bucket{le="1"} 2' in text
-        assert 'repro_runtime_fsync_seconds_bucket{le="+Inf"} 3' in text
-        assert "repro_runtime_fsync_seconds_count 3" in text
-
-    def test_prometheus_empty_snapshot_is_empty(self):
-        assert render_prometheus({"counters": {}, "gauges": {}, "histograms": {}}) == ""
 
 
 class TestEnableGate:

@@ -292,56 +292,6 @@ class TestDamageTolerance:
         assert status.experiments["a"].state == STATE_OK
 
 
-class TestServiceBreakerHistory:
-    """Breaker transition history replayed from the service WAL."""
-
-    def write_transitions(self, root, transitions):
-        root.mkdir()
-        with Journal(root / "service.wal", fsync=False) as journal:
-            for old, new, at_wall in transitions:
-                journal.append(
-                    "breaker-transition",
-                    breaker="service",
-                    from_state=old,
-                    to_state=new,
-                    at_wall=at_wall,
-                )
-
-    def test_service_rollup_replays_wal_transitions(self, tmp_path):
-        from repro.obs.status import load_service_status, render_service_status
-
-        root = tmp_path / "root"
-        self.write_transitions(root, [("closed", "open", 500.0)])
-        rollup = load_service_status(root)
-        assert rollup["breaker_transitions"] == [
-            {
-                "breaker": "service",
-                "from_state": "closed",
-                "to_state": "open",
-                "at_wall": 500.0,
-            }
-        ]
-        text = render_service_status(rollup)
-        assert "breaker transitions:" in text
-        assert "service: closed -> open" in text
-
-    def test_transition_history_is_bounded(self, tmp_path):
-        from repro.obs.status import BREAKER_HISTORY_LIMIT, load_service_status
-
-        root = tmp_path / "root"
-        self.write_transitions(
-            root,
-            [
-                ("closed", "open", float(index))
-                for index in range(BREAKER_HISTORY_LIMIT + 7)
-            ],
-        )
-        transitions = load_service_status(root)["breaker_transitions"]
-        assert len(transitions) == BREAKER_HISTORY_LIMIT
-        # The *most recent* entries survive.
-        assert transitions[-1]["at_wall"] == float(BREAKER_HISTORY_LIMIT + 6)
-
-
 class TestKernelTallies:
     def metrics_payload(self, counters, gauges):
         return json.dumps(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -187,22 +186,6 @@ class TestRecorder:
         assert snapshot["gauges"]["mem.ws.phase"] == 1.0
         assert snapshot["gauges"]["mem.ws.phases"] == 1.0
         assert snapshot["gauges"]["mem.ws.estimate_bytes"] == 64 * 8
-
-    def test_metric_names_are_prometheus_valid(self, tmp_path):
-        obs_metrics.set_obs_enabled(True)
-        recorder = tl.configure_timeline(tmp_path / "timeline.jsonl")
-        recorder.record("stackdist", refs=100, ws_blocks=64, block_size=8)
-        text = obs_metrics.render_prometheus(
-            obs_metrics.get_registry().snapshot()
-        )
-        assert "repro_mem_ws_phase" in text
-        assert "repro_obs_timeline_rows" in text
-        name_re = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-        for line in text.splitlines():
-            if not line or line.startswith("#"):
-                continue
-            name = line.split(None, 1)[0].split("{", 1)[0]
-            assert name_re.match(name), name
 
     def test_inactive_when_obs_disabled(self, tmp_path):
         tl.configure_timeline(tmp_path / "timeline.jsonl")

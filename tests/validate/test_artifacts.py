@@ -329,6 +329,24 @@ class TestJournalAndLease:
         report = validate_run_dir(clean_run)
         assert "journal-schema" in report.codes()
 
+    @pytest.mark.parametrize(
+        "record_type",
+        ["submission-accepted", "submission-done", "cache-hit", "breaker-transition"],
+    )
+    def test_retired_record_type_is_rejected(self, clean_run, record_type):
+        """Record types of the retired HTTP service are not journal
+        records any more: a well-framed one fails validation, and the
+        writer refuses to append it."""
+        from repro.runtime.journal import JOURNAL_FILENAME, Journal, frame_record
+
+        record = {"seq": 1, "token": 1, "t_wall": 0.0, "type": record_type}
+        (clean_run / JOURNAL_FILENAME).write_bytes(frame_record(record))
+        report = validate_run_dir(clean_run)
+        assert [f.code for f in report.errors] == ["journal-schema"]
+        with Journal(clean_run / "other.wal", fsync=False) as journal:
+            with pytest.raises(ValueError, match="unknown journal record type"):
+                journal.append(record_type)
+
     def test_stale_lease_is_a_warning(self, clean_run):
         import subprocess
 
